@@ -6,17 +6,16 @@ diagnose.  Run configurations are JSON documents with a versioned
 codes: 0 success, 1 input/config error, 2 certificate abort (partial
 outputs are still written).
 
-Thread count for the numerical backend comes from the VARMCF_THREADS
-environment variable, overridden by ``--threads``; it must take effect
-before the numerical modules load, which is why the engine imports here
-live inside the handlers.
+The numerical backend reads its thread count (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS``) when numpy loads, which importing this package
+already does, so set those variables before the process starts.  Outputs
+do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import CertificateViolation, ConfigError, EngineError
@@ -96,7 +95,7 @@ def _quadrature_from_dict(data: dict):
     _check_keys(
         data,
         "quadrature",
-        optional=("rule", "points_per_axis", "domain_radius_factor", "max_nodes"),
+        optional=("points_per_axis", "domain_radius_factor", "max_nodes"),
     )
     return QuadratureSpec(**data)
 
@@ -322,12 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="varmcf",
         description="Regularized mean curvature flow for point-cloud varifolds.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap backend threads (default: VARMCF_THREADS or library default)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="sample an analytic shape to JSON")
@@ -374,10 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads if args.threads is not None else os.environ.get("VARMCF_THREADS")
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
     try:
         return args.handler(args)
     except CertificateViolation as exc:

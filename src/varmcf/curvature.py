@@ -1,25 +1,29 @@
 """Regularized mean curvature of a point-cloud varifold.
 
 The velocity field is a double convolution: the kernel smooths the mass
-and the first variation of the varifold into a pointwise velocity
+and the first variation of the varifold into a pointwise field
 
     raw(y) = - smoothed_first_variation(y) / (smoothed_mass(y) + eps),
 
 which is then convolved once more with the kernel to produce the per-atom
-velocity and its spatial differential.  The outer convolutions are tensor
-quadratures over a ball whose radius scales with eps; the dissipation
-integral runs over a uniform grid covering the fattened support.
+velocity and its spatial differential.  Both convolutions and the
+dissipation integral run over one list of (lattice cell, atom) pairs
+within ``r = min(1, factor * eps)`` of each other, on a uniform lattice
+centred on the atoms' bounding box; the kernel is evaluated once per
+pair.  Cell sums give the smoothed fields, atom sums the velocities and
+differentials, and the cells the dissipation, so the discrete identity
+``sum_j m_j tr(P_j Dh_j) = -dissipation`` holds up to rounding.
 
-Smoothed-mass and smoothed-first-variation sums over atoms are exact; the
-batch evaluators used by the quadratures skip atoms beyond 12 eps from the
-evaluation point, where the Gaussian factor is below 1e-31 of its peak, so
-results are unchanged at the 1e-12 level.  All loops run in fixed order,
-so results are deterministic for a fixed quadrature spec.
+The inner sums are cut at r, where the Gaussian factor of the kernel is
+below 4e-6 of its peak; the point evaluators (`smoothed_mass`,
+`smoothed_first_variation`, `raw_curvature`) sum over every atom.  All
+sums run in a fixed order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,7 +34,9 @@ from .varifold import Varifold
 
 __all__ = [
     "QuadratureSpec",
+    "CellPairs",
     "CurvatureField",
+    "cell_pairs",
     "smoothed_mass",
     "smoothed_first_variation",
     "raw_curvature",
@@ -38,36 +44,28 @@ __all__ = [
     "dissipation",
 ]
 
-# Beyond this many eps the Gaussian factor is ~5e-32 of its peak.
-PRUNE_FACTOR = 12.0
+# Pairs evaluated per batch; bounds the per-pair temporaries.
+PAIR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Discretization of the outer convolution and dissipation integrals.
+    """Lattice of the convolution and dissipation sums.
 
-    rule : "tensor-gauss" or "tensor-midpoint"
-        Per-axis rule for the ball quadratures around each atom.  The
-        midpoint rule is the default: for these smooth integrands that
-        decay to ~0 at the ball boundary a uniform grid is spectrally
-        accurate, and it measures orders of magnitude tighter than the
-        Gauss rule at equal node count.
-    points_per_axis : nodes per axis (>= 4); also sets the dissipation
-        grid spacing ``2 r / points_per_axis``.
-    domain_radius_factor : the ball radius is ``min(1, factor * eps)``
-        (>= 4; the Gaussian mass beyond 4 eps is below 3.4e-4, beyond
-        5 eps below 3.8e-6 of the total).
-    max_nodes : budget on the total node count of any single quadrature.
+    points_per_axis : cells per kernel-ball diameter (>= 4); the lattice
+        spacing is ``2 r / points_per_axis``.
+    domain_radius_factor : the kernel ball radius is
+        ``r = min(1, factor * eps)`` (>= 4; the Gaussian mass beyond 4 eps
+        is below 3.4e-4, beyond 5 eps below 3.8e-6 of the total).
+    max_nodes : budget on the cells of the lattice over the bounding box
+        and on the number of (cell, atom) pairs.
     """
 
-    rule: str = "tensor-midpoint"
     points_per_axis: int = 16
     domain_radius_factor: float = 5.0
     max_nodes: int = 20_000_000
 
     def __post_init__(self):
-        if self.rule not in ("tensor-gauss", "tensor-midpoint"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.points_per_axis < 4:
             raise ValueError("points_per_axis must be >= 4")
         if self.domain_radius_factor < 4.0:
@@ -75,44 +73,37 @@ class QuadratureSpec:
 
     def refined(self, factor: int = 2) -> "QuadratureSpec":
         """Same spec with ``factor`` times as many points per axis."""
-        return QuadratureSpec(
-            self.rule, self.points_per_axis * factor, self.domain_radius_factor, self.max_nodes
-        )
+        return replace(self, points_per_axis=self.points_per_axis * factor)
 
-    def axis_rule(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        q = self.points_per_axis
-        if self.rule == "tensor-gauss":
-            x, w = np.polynomial.legendre.leggauss(q)
-            return x * radius, w * radius
-        h = 2.0 * radius / q
-        return -radius + (np.arange(q) + 0.5) * h, np.full(q, h)
+    def radius(self, eps: float) -> float:
+        """Radius r of the kernel ball at scale eps."""
+        return min(1.0, self.domain_radius_factor * eps)
 
-    def ball_nodes(self, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Tensor nodes and weights over the ball of given radius at 0.
 
-        The tensor product covers the bounding cube; nodes outside the ball
-        are dropped (their weight is zero by the domain convention).
-        """
-        if self.points_per_axis**n > self.max_nodes:
-            raise QuadratureBudgetExceeded(
-                f"{self.points_per_axis}^{n} tensor nodes exceed budget {self.max_nodes}"
-            )
-        x, w = self.axis_rule(radius)
-        grids = np.meshgrid(*([x] * n), indexing="ij")
-        nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-        weights = np.ones(len(x) ** n)
-        for wg in np.meshgrid(*([w] * n), indexing="ij"):
-            weights = weights * wg.reshape(-1)
-        keep = np.einsum("pi,pi->p", nodes, nodes) <= radius * radius
-        return nodes[keep], weights[keep]
+@dataclass(frozen=True)
+class CellPairs:
+    """The (lattice cell, atom) pairs within the kernel ball radius.
+
+    ``centres`` holds only the cells that pair with at least one atom;
+    ``cell[p]`` and ``atom[p]`` index the two ends of pair p.
+    """
+
+    centres: np.ndarray  # (C, n)
+    cell: np.ndarray  # (P,)
+    atom: np.ndarray  # (P,)
+    volume: float  # h^n
 
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Per-atom regularized curvature velocity and its differential."""
+    """Per-atom regularized curvature velocity and its differential.
+
+    ``dissipation`` is the mass-decay rate computed from the same pairs.
+    """
 
     velocities: np.ndarray  # (N, n)
     differentials: np.ndarray  # (N, n, n)
+    dissipation: float
 
     def __len__(self) -> int:
         return self.velocities.shape[0]
@@ -156,20 +147,6 @@ def _pair_convolutions(
     return mass, variation
 
 
-def _batch_convolutions(
-    v: Varifold, kernel: Kernel, points: np.ndarray, chunk: int = 2048
-) -> tuple[np.ndarray, np.ndarray]:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out_mass = np.empty(points.shape[0])
-    out_var = np.empty_like(points)
-    for lo in range(0, points.shape[0], chunk):
-        hi = min(lo + chunk, points.shape[0])
-        m, var = _pair_convolutions(kernel, points[lo:hi], v.positions, v.frames, v.masses)
-        out_mass[lo:hi] = m
-        out_var[lo:hi] = var
-    return out_mass, out_var
-
-
 def smoothed_mass(v: Varifold, kernel: Kernel, y: np.ndarray) -> float:
     """Kernel-smoothed mass at a point: ``sum_j m_j Phi(x_j - y)`` (exact sum)."""
     y = np.asarray(y, dtype=float).reshape(1, -1)
@@ -195,83 +172,99 @@ def raw_curvature(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
     return -var[0] / (mass[0] + kernel.eps)
 
 
-def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> CurvatureField:
-    """Per-atom velocity and differential of the regularized curvature.
+def cell_pairs(v: Varifold, eps: float, spec: QuadratureSpec) -> CellPairs:
+    """Lattice cells and atoms within ``r = spec.radius(eps)`` of each other.
 
-    For each atom x the velocity is the ball quadrature of
-    ``Phi(x - z) raw(z)`` and the differential the quadrature of
-    ``raw(z) grad-Phi(x - z)^T`` over ``B(x, min(1, factor * eps))``.
+    Cell centres sit at ``mid + (k - (K - 1) / 2) h`` per axis, with mid the
+    midpoint of the r-fattened bounding box of the atoms and K cells per
+    axis covering it.  Raises QuadratureBudgetExceeded when the lattice
+    over the box, or the pair list, exceeds ``spec.max_nodes``.
+    """
+    n = v.n
+    radius = spec.radius(eps)
+    h = 2.0 * radius / spec.points_per_axis
+    if len(v) == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return CellPairs(np.zeros((0, n)), empty, empty, h**n)
+    lo = v.positions.min(axis=0) - radius
+    hi = v.positions.max(axis=0) + radius
+    counts = np.ceil((hi - lo) / h).astype(int)
+    total = math.prod(counts.tolist())
+    if total > spec.max_nodes:
+        raise QuadratureBudgetExceeded(f"{total} lattice cells exceed budget {spec.max_nodes}")
+    mid = 0.5 * (lo + hi)
+    axes = [mid[i] + (np.arange(counts[i]) - 0.5 * (counts[i] - 1)) * h for i in range(n)]
+    grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+    atoms = cKDTree(v.positions)
+    dist, _ = atoms.query(grid, k=1, distance_upper_bound=radius)
+    centres = grid[dist <= radius]
+    pairs = cKDTree(centres).sparse_distance_matrix(atoms, radius, output_type="ndarray")
+    if pairs.size > spec.max_nodes:
+        raise QuadratureBudgetExceeded(f"{pairs.size} pairs exceed budget {spec.max_nodes}")
+    return CellPairs(centres, pairs["i"].astype(np.intp), pairs["j"].astype(np.intp), h**n)
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the rows ``values[p]`` grouped by ``index[p]`` into ``size`` bins."""
+    width = values[0].size
+    flat = (index[:, None] * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(flat, values.reshape(-1), minlength=size * width)
+    return sums.reshape((size,) + values.shape[1:])
+
+
+def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> CurvatureField:
+    """Per-atom velocity, differential and dissipation of the regularized curvature.
+
+    With ``Phi`` the kernel and the sums over the pairs of `cell_pairs`:
+
+        mass_c = sum_j m_j Phi(x_j - z_c)
+        var_c  = sum_j m_j P_j grad-Phi(x_j - z_c)
+        raw_c  = -var_c / (mass_c + eps)
+        h_j    = h^n sum_c Phi(x_j - z_c) raw_c
+        Dh_j   = h^n sum_c raw_c grad-Phi(x_j - z_c)^T
+        D      = h^n sum_c |var_c|^2 / (mass_c + eps)
+
     Differentials use the standard Jacobian layout: entry (a, b) is the
     derivative of component a in direction b.
     """
-    n = v.n
-    count = len(v)
-    if count == 0:
-        return CurvatureField(np.zeros((0, n)), np.zeros((0, n, n)))
+    n, count = v.n, len(v)
+    pairs = cell_pairs(v, kernel.eps, spec)
+    cells, total = pairs.centres.shape[0], pairs.cell.size
+    val, slope = np.empty(total), np.empty(total)
+    chunks = [slice(lo, lo + PAIR_CHUNK) for lo in range(0, total, PAIR_CHUNK)]
 
-    radius = min(1.0, spec.domain_radius_factor * kernel.eps)
-    offsets, weights = spec.ball_nodes(n, radius)
-    if count * offsets.shape[0] > spec.max_nodes:
-        raise QuadratureBudgetExceeded(
-            f"{count} atoms x {offsets.shape[0]} nodes exceed budget {spec.max_nodes}"
-        )
-    # Kernel factors are functions of the offset only: Phi(x - z) = Phi(off)
-    # and grad Phi(x - z) = -s(|off|) off for z = x + off.
-    off_r2 = np.einsum("pi,pi->p", offsets, offsets)
-    kval, kslope = kernel._value_and_grad_scalar(off_r2)
-    value_w = weights * kval
-    grad_w = -(weights * kslope)[:, None] * offsets
+    # Cell sums; grad-Phi(x - z) = s(|x - z|) (x - z).
+    mass = np.zeros(cells)
+    var = np.zeros((cells, n))
+    for sl in chunks:
+        c, a = pairs.cell[sl], pairs.atom[sl]
+        diff = np.take(v.positions, a, axis=0) - np.take(pairs.centres, c, axis=0)
+        val[sl], slope[sl] = kernel._value_and_grad_scalar(np.einsum("pi,pi->p", diff, diff))
+        frames = np.take(v.frames, a, axis=0)
+        tangent = np.einsum("pdi,pd->pi", frames, np.einsum("pdk,pk->pd", frames, diff))
+        mass += np.bincount(c, v.masses[a] * val[sl], minlength=cells)
+        var += _scatter(c, (v.masses[a] * slope[sl])[:, None] * tangent, cells)
+    denom = mass + kernel.eps
+    raw = -var / denom[:, None]
 
-    reach = min(1.0, PRUNE_FACTOR * kernel.eps) + radius
-    tree = cKDTree(v.positions)
-    neighbor_lists = tree.query_ball_point(v.positions, reach)
-
-    velocities = np.empty((count, n))
-    differentials = np.empty((count, n, n))
-    for a in range(count):
-        nbr = np.array(sorted(neighbor_lists[a]), dtype=int)
-        nodes = v.positions[a] + offsets
-        mass, var = _pair_convolutions(
-            kernel, nodes, v.positions[nbr], v.frames[nbr], v.masses[nbr]
-        )
-        raw = -var / (mass + kernel.eps)[:, None]
-        velocities[a] = value_w @ raw
-        differentials[a] = raw.T @ grad_w
-    return CurvatureField(velocities, differentials)
+    # Atom sums over the same pairs.
+    velocities = np.zeros((count, n))
+    differentials = np.zeros((count, n, n))
+    for sl in chunks:
+        c, a = pairs.cell[sl], pairs.atom[sl]
+        diff = np.take(v.positions, a, axis=0) - np.take(pairs.centres, c, axis=0)
+        grad = slope[sl][:, None] * diff
+        raw_c = np.take(raw, c, axis=0)
+        velocities += _scatter(a, val[sl][:, None] * raw_c, count)
+        differentials += _scatter(a, raw_c[:, :, None] * grad[:, None, :], count)
+    rate = float(np.sum(np.einsum("ci,ci->c", var, var) / denom)) * pairs.volume
+    return CurvatureField(velocities * pairs.volume, differentials * pairs.volume, rate)
 
 
 def dissipation(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> float:
-    """Mass-decay rate of the regularized flow.
+    """Mass-decay rate of the regularized flow, as computed by `curvature_field`.
 
-    Integral of ``|smoothed_first_variation|^2 / (smoothed_mass + eps)``
-    over the fattened support, discretized on a uniform grid of spacing
-    ``2 r / points_per_axis`` restricted to cells within ``r`` of an atom
-    (``r = min(1, factor * eps)``); the integrand is nonnegative so the
-    result is >= 0.
+    The lattice sum of ``|smoothed_first_variation|^2 / (smoothed_mass + eps)``; >= 0.
     """
-    if len(v) == 0:
-        return 0.0
-    n = v.n
-    radius = min(1.0, spec.domain_radius_factor * kernel.eps)
-    h = 2.0 * radius / spec.points_per_axis
-
-    lo = v.positions.min(axis=0) - radius
-    hi = v.positions.max(axis=0) + radius
-    axes = [np.arange(lo[i] + h / 2.0, hi[i], h) for i in range(n)]
-    counts = [len(ax) for ax in axes]
-    total = int(np.prod(counts))
-    if total > spec.max_nodes:
-        raise QuadratureBudgetExceeded(
-            f"dissipation grid of {total} cells exceeds budget {spec.max_nodes}"
-        )
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.reshape(-1) for g in grids], axis=1)
-
-    tree = cKDTree(v.positions)
-    dist, _ = tree.query(centers, k=1)
-    centers = centers[dist <= radius]
-    if centers.shape[0] == 0:
-        return 0.0
-    mass, var = _batch_convolutions(v, kernel, centers)
-    integrand = np.einsum("pn,pn->p", var, var) / (mass + kernel.eps)
-    return float(np.sum(integrand) * h**n)
+    return curvature_field(v, kernel, spec).dissipation

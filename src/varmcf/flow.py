@@ -18,13 +18,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .curvature import CurvatureField, QuadratureSpec, curvature_field, dissipation
-from .errors import CertificateViolation, EngineError
+from .errors import CertificateViolation, ConfigError, EngineError
 from .kernel import Kernel
 from .metric import bounded_lipschitz_distance
 from .varifold import SampledMap, Varifold, first_variation, push_forward
@@ -234,10 +234,8 @@ def _velocity_divergence(v: Varifold, f: CurvatureField) -> float:
 
 def _apply_field(
     v: Varifold,
-    kernel: Kernel,
     f: CurvatureField,
     tau: float,
-    spec: QuadratureSpec,
     safety: float,
     index: int,
     t_start: float,
@@ -256,7 +254,7 @@ def _apply_field(
         t_end=t_start + tau,
         mass_before=mass_before,
         mass_after=mass_after,
-        dissipation=dissipation(v, kernel, spec),
+        dissipation=f.dissipation,
         velocity_first_variation=_velocity_divergence(v, f),
         certificate=certificate,
         safety=safety,
@@ -287,7 +285,7 @@ def step(
         raise ValueError(f"tau must be positive, got {tau}")
     spec = spec or QuadratureSpec()
     f = curvature_field(v, kernel, spec)
-    return _apply_field(v, kernel, f, tau, spec, safety, index=0, t_start=0.0, gate="practical")
+    return _apply_field(v, f, tau, safety, index=0, t_start=0.0, gate="practical")
 
 
 def evolve(v0: Varifold, config: FlowConfig) -> Trajectory:
@@ -329,10 +327,8 @@ def evolve(v0: Varifold, config: FlowConfig) -> Trajectory:
         try:
             current, diag = _apply_field(
                 current,
-                kernel,
                 f,
                 tau,
-                config.quadrature,
                 config.diffeo_safety,
                 index=i,
                 t_start=float(times[i]),
@@ -589,7 +585,6 @@ def _to_json(obj, indent: int = 0) -> str:
 
 def quadrature_to_dict(spec: QuadratureSpec) -> dict:
     return {
-        "rule": spec.rule,
         "points_per_axis": spec.points_per_axis,
         "domain_radius_factor": spec.domain_radius_factor,
         "max_nodes": spec.max_nodes,
@@ -608,10 +603,14 @@ def config_to_dict(config: FlowConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> FlowConfig:
+    quadrature = data["quadrature"]
+    unknown = set(quadrature) - {f.name for f in fields(QuadratureSpec)}
+    if unknown:
+        raise ConfigError(f"quadrature: unknown keys {sorted(unknown)}")
     return FlowConfig(
         eps=float(data["eps"]),
         subdivision=Subdivision(np.asarray(data["times"], dtype=float)),
-        quadrature=QuadratureSpec(**data["quadrature"]),
+        quadrature=QuadratureSpec(**quadrature),
         diffeo_safety=float(data["diffeo_safety"]),
         step_mode=str(data["step_mode"]),
         strict_constant=float(data["strict_constant"]),

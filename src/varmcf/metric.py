@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .errors import DimensionMismatch, EngineError
 from .geometry import Plane
@@ -128,21 +128,21 @@ def _solve_support_lp(problem: SupportProblem) -> tuple[float, np.ndarray, int]:
         return 0.0, np.zeros(0), 0
     w = problem.weights
     dist = problem.distances
-    rows: set[tuple[int, int]] = set()
     iu, ju = np.triu_indices(k, 1)
+    active = np.zeros(iu.size, dtype=bool)
     rounds = 0
     phi = np.zeros(k)
     while True:
         rounds += 1
-        if rows:
-            data = []
-            for (i, j) in sorted(rows):
-                row = np.zeros(k)
-                row[i], row[j] = 1.0, -1.0
-                data.append((row, dist[i, j]))
-                data.append((-row, dist[i, j]))
-            a_ub = np.stack([r for r, _ in data])
-            b_ub = np.array([b for _, b in data])
+        if active.any():
+            # each pair (i, j) gives the rows phi_i - phi_j <= d and phi_j - phi_i <= d
+            i, j = iu[active], ju[active]
+            cols = np.stack([i, j, i, j], axis=1).reshape(-1)
+            signs = np.tile([1.0, -1.0, -1.0, 1.0], i.size)
+            a_ub = sparse.csr_array(
+                (signs, cols, np.arange(0, cols.size + 1, 2)), shape=(2 * i.size, k)
+            )
+            b_ub = np.repeat(dist[i, j], 2)
         else:
             a_ub, b_ub = None, None
         res = optimize.linprog(
@@ -152,11 +152,10 @@ def _solve_support_lp(problem: SupportProblem) -> tuple[float, np.ndarray, int]:
             raise EngineError(f"bounded-Lipschitz LP failed: {res.message}")
         phi = res.x
         gaps = np.abs(phi[iu] - phi[ju]) - dist[iu, ju]
-        violated = np.nonzero(gaps > CONSTRAINT_TOL)[0]
-        if violated.size == 0:
+        violated = gaps > CONSTRAINT_TOL
+        if not violated.any():
             return float(-res.fun), phi, rounds
-        for idx in violated:
-            rows.add((int(iu[idx]), int(ju[idx])))
+        active |= violated
 
 
 def bounded_lipschitz_distance(v: Varifold, w: Varifold) -> float:

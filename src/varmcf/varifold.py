@@ -123,11 +123,6 @@ class Varifold:
     def mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def support_radius(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.positions, axis=1)))
-
 
 @dataclass(frozen=True)
 class SampledMap:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from test_curvature import arc_quadrature_first_variation, arc_quadrature_mass
 
 from varmcf.curvature import QuadratureSpec, curvature_field, dissipation
 from varmcf.flow import GaussianBump, brakke_residual, refinement_study
@@ -100,11 +101,42 @@ def test_criterion_01_kernel_suite():
     )
 
 
+def _unit_circle_oracle(kernel, radius, radial_nodes=400, arc_nodes=20_000, angle_nodes=2000):
+    """Dissipation and speed of the unit-density unit circle, apart from the lattice.
+
+    Rotational symmetry reduces the smoothed mass and first variation to
+    functions of the radius rho, tabulated on the band |rho - 1| <= radius
+    by the arc-length oracles.  D is the radial integral of
+    ``2 pi rho |var|^2 / (mass + eps)``; the speed is the polar quadrature
+    of ``Phi(x - z) raw(|z|) z / |z|`` over the band at x = (1, 0).
+    """
+    step = 2.0 * radius / radial_nodes
+    rho = 1.0 - radius + (np.arange(radial_nodes) + 0.5) * step
+    mass = np.empty(radial_nodes)
+    var = np.empty(radial_nodes)
+    for k, r in enumerate(rho):
+        y = np.array([r, 0.0])
+        mass[k] = arc_quadrature_mass(kernel, y, nodes=arc_nodes)
+        var[k] = arc_quadrature_first_variation(kernel, y, nodes=arc_nodes)[0]
+    dissipation_oracle = float(np.sum(2.0 * np.pi * rho * var**2 / (mass + kernel.eps)) * step)
+
+    raw = -var / (mass + kernel.eps)
+    theta = -np.pi + 2.0 * np.pi * (np.arange(angle_nodes) + 0.5) / angle_nodes
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    velocity = np.zeros(2)
+    for r, raw_r in zip(rho, raw):
+        phi = kernel.values(np.array([1.0, 0.0]) - r * unit)
+        velocity += raw_r * r * (phi @ unit)
+    velocity *= step * 2.0 * np.pi / angle_nodes
+    return dissipation_oracle, float(np.linalg.norm(velocity))
+
+
 def test_criterion_02_dissipation_identity():
     start = time.time()
     v = generate(ShapeSpec("circle", samples=50))
     kernel = Kernel.create(2, 0.1)
-    rels = []
+    d_oracle, speed_oracle = _unit_circle_oracle(kernel, QuadratureSpec().radius(kernel.eps))
+    rels, d_errs, speed_errs = [], [], []
     for spec, gate in ((QuadratureSpec(), 1e-2), (QuadratureSpec().refined(), 1e-3)):
         field = curvature_field(v, kernel, spec)
         div = first_variation(v, field.velocities, field.differentials)
@@ -112,11 +144,19 @@ def test_criterion_02_dissipation_identity():
         rel = abs(div + d) / d
         rels.append(rel)
         assert rel <= gate
+
+        # the identity holds by construction; the continuum oracle can fail
+        d_errs.append(abs(d - d_oracle) / d_oracle)
+        speeds = np.linalg.norm(field.velocities, axis=1)
+        speed_errs.append(float(np.abs(speeds - speed_oracle).max()) / speed_oracle)
+        assert d_errs[-1] <= 1e-3
+        assert speed_errs[-1] <= 1e-3
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(
         "02 dissipation identity",
-        f"rel error {rels[0]:.2e} default, {rels[1]:.2e} doubled, {elapsed:.1f}s",
+        f"rel error {rels[0]:.2e} default, {rels[1]:.2e} doubled; against the continuum "
+        f"D off by {max(d_errs):.2e}, |h| by {max(speed_errs):.2e}, {elapsed:.1f}s",
     )
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varmcf
 from varmcf.cli import main
 from varmcf.flow import read_trajectory_json
 
@@ -76,6 +81,32 @@ class TestEvolve:
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         path, _ = run_config(tmp_path, schema=99)
         assert main(["evolve", str(path)]) == 1
+
+    def test_quadrature_rule_rejected(self, tmp_path, capsys):
+        flow = {"eps": 0.1, "horizon": 0.004, "steps": 4, "quadrature": {"rule": "tensor-gauss"}}
+        path, _ = run_config(tmp_path, flow=flow)
+        assert main(["evolve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and "rule" in err
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        src = str(Path(varmcf.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            path, config = run_config(run_dir)
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-m", "varmcf.cli", "evolve", str(path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(
+                [Path(config["outputs"][k]).read_bytes() for k in ("trajectory", "diagnostics")]
+            )
+        assert outputs[0] == outputs[1]
 
 
 class TestGenerateAndDistance:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from varmcf.curvature import (
-    CurvatureField,
     QuadratureSpec,
+    cell_pairs,
     curvature_field,
     dissipation,
     raw_curvature,
@@ -52,27 +52,31 @@ def arc_quadrature_first_variation(kernel, y, radius=1.0, nodes=100_000):
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(rule="monte-carlo")
-        with pytest.raises(ValueError):
             QuadratureSpec(points_per_axis=2)
         with pytest.raises(ValueError):
             QuadratureSpec(domain_radius_factor=1.0)
 
-    def test_ball_nodes_integrate_a_gaussian(self):
-        # the intended integrands decay to ~0 at the ball boundary
-        sigma = 0.15
-        for rule in ("tensor-midpoint", "tensor-gauss"):
-            spec = QuadratureSpec(rule, 24, 5.0)
-            nodes, weights = spec.ball_nodes(2, 1.0)
-            r2 = np.einsum("pi,pi->p", nodes, nodes)
-            vals = np.exp(-r2 / (2.0 * sigma**2)) / (2.0 * np.pi * sigma**2)
-            assert weights @ vals == pytest.approx(1.0, abs=1e-6)
-            assert np.all(r2 <= 1.0 + 1e-12)
+    def test_lattice_weights_integrate_the_kernel(self):
+        # the cells paired with a single atom integrate the kernel; at
+        # factor 8 the ball holds all but exp(-32) of the Gaussian
+        eps = 0.12
+        kernel = Kernel.create(2, eps)
+        spec = QuadratureSpec(24, 8.0)
+        atom = Varifold(1, 2, [[0.3, -0.2]], [[[1.0, 0.0]]], [1.0])
+        pairs = cell_pairs(atom, eps, spec)
+        offsets = pairs.centres[pairs.cell] - atom.positions[pairs.atom]
+        assert pairs.volume * kernel.values(offsets).sum() == pytest.approx(1.0, abs=1e-6)
+        assert np.all(np.linalg.norm(offsets, axis=1) <= spec.radius(eps) + 1e-12)
 
     def test_budget_enforced(self):
         spec = QuadratureSpec(points_per_axis=64, max_nodes=1000)
         with pytest.raises(QuadratureBudgetExceeded):
-            spec.ball_nodes(2, 1.0)
+            curvature_field(circle(20), Kernel.create(2, 0.2), spec)
+        # two close atoms: the 9 x 8 lattice fits, their 96 pairs do not
+        pair = Varifold(1, 2, [[0.0, 0.0], [0.01, 0.0]], [[[1.0, 0.0]]] * 2, [1.0, 1.0])
+        spec = QuadratureSpec(points_per_axis=8, max_nodes=80)
+        with pytest.raises(QuadratureBudgetExceeded, match="pairs"):
+            curvature_field(pair, Kernel.create(2, 0.2), spec)
 
     def test_refined_doubles_points(self):
         spec = QuadratureSpec()
@@ -189,25 +193,28 @@ class TestCurvatureField:
         assert np.all(cosines >= np.cos(np.radians(5.0)))
 
     def test_differential_matches_finite_differences(self):
-        # central differences of the velocity integral at matched quadrature;
-        # eps = 0.05 keeps the quadrature ball inside the cutoff plateau,
-        # where both quadratures resolve the common continuum derivative
+        # central differences of the velocity sum in the atom's position,
+        # with the atom's lattice cells and the raw field on them held fixed;
+        # the raw field sums the atoms within the kernel ball of each cell
         kernel = Kernel.create(2, 0.05)
         v = circle(150)
         spec = QuadratureSpec()
         field = curvature_field(v, kernel, spec)
-        offsets, weights = spec.ball_nodes(2, min(1.0, spec.domain_radius_factor * kernel.eps))
-        kvals = kernel.values(offsets)
+        pairs = cell_pairs(v, kernel.eps, spec)
+        atom = 7
+        cells = pairs.centres[pairs.cell[pairs.atom == atom]]
+
+        def cut_raw(z):
+            near = np.linalg.norm(v.positions - z, axis=1) <= spec.radius(kernel.eps)
+            ball = Varifold(1, 2, v.positions[near], v.frames[near], v.masses[near])
+            return raw_curvature(ball, kernel, z)
+
+        raw = np.array([cut_raw(z) for z in cells])
 
         def velocity_at(x):
-            nodes = x + offsets
-            mass = np.array([smoothed_mass(v, kernel, z) for z in nodes])
-            var = np.array([smoothed_first_variation(v, kernel, z) for z in nodes])
-            raw = -var / (mass + kernel.eps)[:, None]
-            return (weights * kvals) @ raw
+            return pairs.volume * kernel.values(x - cells) @ raw
 
         h = 1e-5
-        atom = 7
         fd = np.empty((2, 2))
         for i in range(2):
             e = np.zeros(2)

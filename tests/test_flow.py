@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from varmcf.curvature import QuadratureSpec, curvature_field
-from varmcf.errors import CertificateViolation
+from varmcf.errors import CertificateViolation, ConfigError
 from varmcf.flow import (
     ConstantTest,
     FlowConfig,
@@ -185,6 +187,46 @@ class TestEvolve:
         assert np.all(np.linalg.norm(interp.positions, axis=1) < 1.0)
 
 
+class TestSpaceFlows:
+    """Flows in R^3: a surface, and a curve of codimension 2."""
+
+    def test_sphere_shrinks_inward_at_the_dissipation_rate(self):
+        tau = 0.005
+        config = FlowConfig(eps=0.2, subdivision=Subdivision.uniform(3, 3 * tau))
+        traj = evolve(generate(ShapeSpec("sphere", samples=100)), config)
+        assert traj.failure is None
+        masses = traj.mass_history()
+        assert np.all(np.diff(masses) < 0.0)
+        for k, diag in enumerate(traj.diagnostics):
+            x, h = traj.snapshots[k].positions, traj.fields[k].velocities
+            assert np.all(np.einsum("ji,ji->j", h, x) < 0.0)
+            speed = np.linalg.norm(h, axis=1)
+            assert speed.max() / speed.min() <= 1.1
+            decay = tau * diag.dissipation
+            assert abs(masses[k + 1] - masses[k] + decay) / decay <= 5e-2
+
+    def test_circle_in_space_stays_in_its_plane(self):
+        count = 200
+        theta = 2.0 * np.pi * np.arange(count) / count
+        zero = np.zeros(count)
+        v = Varifold(
+            1,
+            3,
+            np.stack([np.cos(theta), np.sin(theta), zero], axis=1),
+            np.stack([-np.sin(theta), np.cos(theta), zero], axis=1)[:, None, :],
+            np.full(count, 2.0 * np.pi / count),
+        )
+        config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(3, 0.003))
+        traj = evolve(v, config)
+        assert traj.failure is None
+        for k in range(len(traj.diagnostics)):
+            x, h = traj.snapshots[k].positions, traj.fields[k].velocities
+            speed = np.linalg.norm(h, axis=1)
+            assert np.abs(h[:, 2]).max() <= 1e-12 * speed.max()
+            assert np.all(np.einsum("ji,ji->j", h, x) < 0.0)
+            assert speed.max() / speed.min() <= 1.01
+
+
 @pytest.fixture(scope="module")
 def residual_traj():
     config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(16, 0.02))
@@ -336,6 +378,15 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(traj.snapshots) * 12
         assert lines[0] == "t,atom_id,x1,x2,m,h_norm"
+
+    def test_unknown_quadrature_key_is_a_config_error(self, tmp_path, traj):
+        path = tmp_path / "traj.json"
+        write_trajectory_json(traj, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["quadrature"]["rule"] = "tensor-midpoint"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="rule"):
+            read_trajectory_json(path)
 
     def test_reloaded_trajectory_supports_diagnostics(self, tmp_path, traj):
         path = tmp_path / "traj.json"

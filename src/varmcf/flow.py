@@ -567,8 +567,9 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float, bool)) or v is None for v in obj)
-        if flat:
+        if all(isinstance(v, float) for v in obj):
+            return "[" + ", ".join(map(_fmt, obj)) + "]"
+        if all(isinstance(v, (int, float, bool)) or v is None for v in obj):
             return "[" + ", ".join(_to_json(v) for v in obj) + "]"
         items = ",\n".join(f"{pad}  {_to_json(v, indent + 2)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
@@ -623,11 +624,11 @@ def varifold_to_dict(v: Varifold) -> dict:
         "n": v.n,
         "atoms": [
             {
-                "x": [float(c) for c in v.positions[j]],
-                "frame": [[float(c) for c in row] for row in v.frames[j]],
-                "m": float(v.masses[j]),
+                "x": x,
+                "frame": frame,
+                "m": m,
             }
-            for j in range(len(v))
+            for x, frame, m in zip(v.positions.tolist(), v.frames.tolist(), v.masses.tolist())
         ],
     }
 

@@ -2,7 +2,9 @@
 
 Planes are stored as row-orthonormal frames; the associated orthogonal
 projector is derived and cached.  Everything here is a pure function of
-small (n <= ~16) dense matrices, computed by direct factorizations.
+small (n <= ~16) dense matrices, computed by direct factorizations.  The
+plane distance and the tangential Jacobian take stacked frames ``(..., d, n)``
+so that a whole varifold, or every pair of two supports, is one call.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "LinearMap",
     "Plane",
     "plane_distance",
+    "plane_distances",
     "principal_angles",
     "align_frames",
     "tangential_jacobian",
@@ -99,17 +102,37 @@ def _check_same_space(s: Plane, t: Plane) -> None:
         )
 
 
+def plane_distances(frames_s: np.ndarray, frames_t: np.ndarray) -> np.ndarray:
+    """Stacked operator 2-norms ``|P_s - P_t|`` of projector differences.
+
+    ``frames_s`` and ``frames_t`` are row-orthonormal ``(..., d, n)`` stacks
+    with the same d that broadcast against each other.  For equal-dimension
+    planes the norm is the largest singular value of the d x n residual
+    ``F_s (I - P_t)``, the sine of the largest principal angle, so it is read
+    off as the top eigenvalue of a d x d Gram matrix.  The residual is taken
+    of ``F_s - F_t`` (``F_t (I - P_t)`` vanishes), which keeps small angles
+    accurate and identical frames at exactly zero.
+    """
+    frames_s = np.asarray(frames_s, dtype=float)
+    frames_t = np.asarray(frames_t, dtype=float)
+    if frames_s.shape[-2:] != frames_t.shape[-2:]:
+        raise DimensionMismatch(
+            f"planes live in different spaces: {frames_s.shape[-2:]} vs {frames_t.shape[-2:]}"
+        )
+    diff = frames_s - frames_t
+    residual = diff - (diff @ np.swapaxes(frames_t, -1, -2)) @ frames_t
+    gram = residual @ np.swapaxes(residual, -1, -2)
+    top = gram[..., 0, 0] if gram.shape[-1] == 1 else np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
 def plane_distance(s: Plane, t: Plane) -> float:
     """Operator 2-norm of the projector difference.
 
     Equals the sine of the largest principal angle between the subspaces,
     so the value lies in [0, 1].
     """
-    _check_same_space(s, t)
-    diff = s.projector - t.projector
-    if not diff.any():
-        return 0.0
-    return float(np.linalg.svd(diff, compute_uv=False)[0])
+    return float(plane_distances(s.frame, t.frame))
 
 
 def principal_angles(s: Plane, t: Plane) -> np.ndarray:
@@ -132,26 +155,34 @@ def align_frames(s: Plane, t: Plane) -> tuple[np.ndarray, np.ndarray]:
     return u.T @ s.frame, wt @ t.frame
 
 
-def tangential_jacobian(df: LinearMap, s: Plane) -> tuple[float, Plane]:
-    """Jacobian of a linear map restricted to a plane, and the image plane.
+def tangential_jacobian(df: LinearMap, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians of linear maps restricted to planes, and the image frames.
 
-    With ``y = df @ frame.T`` the Jacobian is ``det(y.T @ y) ** 0.5`` and the
-    image plane is the column span of ``y``, orthonormalized by column-pivoted
-    QR.  Raises :class:`DegeneratePushforward` when ``y`` loses rank (the map
-    crushes the plane).
+    ``df`` is a stack of ``(..., n, n)`` maps and ``frames`` a stack of
+    ``(..., d, n)`` row-orthonormal frames; the two broadcast.  With
+    ``y = df @ frames^T`` the Jacobians ``(...)`` are ``det(y^T y) ** 0.5``
+    and the image frames ``(..., d, n)`` are the transposed Q factors of the
+    reduced QR of ``y`` (a basis of its column span).  Raises
+    :class:`DegeneratePushforward`, naming the first offending stack index,
+    when some ``y`` loses rank (the map crushes the plane).
     """
     df = np.asarray(df, dtype=float)
-    if df.shape != (s.n, s.n):
-        raise DimensionMismatch(f"differential must be {s.n} x {s.n}, got {df.shape}")
-    y = df @ s.frame.T
-    gram = y.T @ y
-    det = float(np.linalg.det(gram))
-    if det <= GRAM_RANK_TOL:
+    frames = np.asarray(frames, dtype=float)
+    n = frames.shape[-1]
+    if df.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"differential must be {n} x {n}, got {df.shape[-2:]}")
+    y = df @ np.swapaxes(frames, -1, -2)
+    det = np.linalg.det(np.swapaxes(y, -1, -2) @ y)
+    bad = det <= GRAM_RANK_TOL
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at atom {index[0] if len(index) == 1 else index}" if index else ""
         raise DegeneratePushforward(
-            f"push-forward is degenerate: Gram determinant {det:.3e} <= {GRAM_RANK_TOL:.0e}"
+            f"push-forward is degenerate{where}: Gram determinant "
+            f"{det[index]:.3e} <= {GRAM_RANK_TOL:.0e}"
         )
-    q, _, _ = scipy.linalg.qr(y, mode="economic", pivoting=True)
-    return float(np.sqrt(det)), Plane(q.T)
+    q, _ = np.linalg.qr(y)
+    return np.sqrt(det), np.swapaxes(q, -1, -2)
 
 
 def det_perturbation_check(q: np.ndarray) -> tuple[float, float]:

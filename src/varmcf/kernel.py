@@ -231,19 +231,15 @@ class Kernel:
 
     def hessians(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        npts, n = points.shape
         r = np.linalg.norm(points, axis=1)
-        f, fp, fpp = self.radial(r)
-        out = np.empty((npts, n, n))
-        eye = np.eye(n)
-        for i in range(npts):
-            if r[i] == 0.0:
-                out[i] = fpp[i] * eye
-            else:
-                u = points[i] / r[i]
-                uu = np.outer(u, u)
-                out[i] = fpp[i] * uu + (fp[i] / r[i]) * (eye - uu)
-        return out
+        _, fp, fpp = self.radial(r)
+        # at r = 0 the direction is undefined and the Hessian is fpp * I
+        safe = np.where(r > 0.0, r, 1.0)
+        u = points / safe[:, None]
+        uu = u[:, :, None] * u[:, None, :]
+        tangential = np.where(r > 0.0, fp / safe, fpp)
+        eye = np.eye(points.shape[1])
+        return fpp[:, None, None] * uu + tangential[:, None, None] * (eye - uu)
 
     def eval(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Value, gradient and Hessian at a single point."""

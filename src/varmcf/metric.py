@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, EngineError
-from .geometry import Plane
+from .geometry import Plane, plane_distances
 from .varifold import Varifold
 
 __all__ = [
@@ -66,53 +67,50 @@ def _check_compatible(v: Varifold, w: Varifold) -> None:
 def build_support_problem(v: Varifold, w: Varifold) -> SupportProblem:
     """Union support with signed weights and the pairwise ground metric.
 
-    Atoms whose positions and projectors agree within 1e-12 are merged
-    (weights add for V, subtract for W).
+    Atoms whose positions and projectors agree within 1e-12 (entrywise) are
+    merged: in input order (V, then W), each atom joins the first kept atom
+    it matches, and weights add for V and subtract for W.
     """
     _check_compatible(v, w)
-    n = v.n
-    positions: list[np.ndarray] = []
-    frames: list[np.ndarray] = []
-    projectors: list[np.ndarray] = []
-    weights: list[float] = []
+    n, d = v.n, v.d
+    positions = np.concatenate([v.positions, w.positions])
+    frames = np.concatenate([v.frames, w.frames])
+    signed = np.concatenate([v.masses, -w.masses])
+    count = positions.shape[0]
+    if count == 0:
+        return SupportProblem(np.zeros((0, n)), np.zeros((0, d, n)), np.zeros(0), np.zeros((0, 0)))
 
-    def insert(pos, frame, proj, signed_mass):
-        for i in range(len(positions)):
-            if (
-                np.abs(positions[i] - pos).max() <= DEDUP_TOL
-                and np.abs(projectors[i] - proj).max() <= DEDUP_TOL
-            ):
-                weights[i] += signed_mass
-                return
-        positions.append(pos)
-        frames.append(frame)
-        projectors.append(proj)
-        weights.append(signed_mass)
+    # candidate pairs (i < j) by position, then the projector test on those only
+    pairs = cKDTree(positions).query_pairs(DEDUP_TOL, p=np.inf, output_type="ndarray")
+    target = np.arange(count)
+    if pairs.size:
+        i, j = pairs[:, 0], pairs[:, 1]
+        proj_i = np.einsum("jdi,jdk->jik", frames[i], frames[i])
+        proj_j = np.einsum("jdi,jdk->jik", frames[j], frames[j])
+        match = np.abs(proj_i - proj_j).max(axis=(1, 2)) <= DEDUP_TOL
+        i, j = i[match], j[match]
+        order = np.lexsort((i, j))
+        # a kept atom's status is final before any later atom is tested against it
+        for a, b in zip(i[order].tolist(), j[order].tolist()):
+            if target[b] == b and target[a] == a:
+                target[b] = a
+    kept = np.flatnonzero(target == np.arange(count))
+    slot = np.zeros(count, dtype=int)
+    slot[kept] = np.arange(kept.size)
+    weights = np.zeros(kept.size)
+    np.add.at(weights, slot[target], signed)
 
-    for source, sign in ((v, 1.0), (w, -1.0)):
-        projs = source.projectors()
-        for j in range(len(source)):
-            insert(source.positions[j], source.frames[j], projs[j], sign * source.masses[j])
-
-    if not positions:
-        return SupportProblem(
-            np.zeros((0, n)), np.zeros((0, v.d, n)), np.zeros(0), np.zeros((0, 0))
-        )
-    pos = np.stack(positions)
-    frm = np.stack(frames)
-    wts = np.array(weights)
-    prj = np.stack(projectors)
-    k = pos.shape[0]
-    dist = np.zeros((k, k))
-    chunk = max(1, 2_000_000 // (k * n * n))
+    pos = positions[kept]
+    frm = frames[kept]
+    k = kept.size
+    dist = np.empty((k, k))
+    chunk = max(1, 2_000_000 // (k * d * n))
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
         spatial = np.linalg.norm(pos[lo:hi, None, :] - pos[None, :, :], axis=2)
-        proj_diff = prj[lo:hi, None, :, :] - prj[None, :, :, :]
-        plane = np.linalg.svd(proj_diff, compute_uv=False)[..., 0]
-        dist[lo:hi] = spatial + plane
+        dist[lo:hi] = spatial + plane_distances(frm[lo:hi, None], frm[None, :])
     np.fill_diagonal(dist, 0.0)
-    return SupportProblem(pos, frm, wts, dist)
+    return SupportProblem(pos, frm, weights, dist)
 
 
 def _solve_support_lp(problem: SupportProblem) -> tuple[float, np.ndarray, int]:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CertificateViolation, DimensionMismatch
-from .geometry import Plane, plane_distance, tangential_jacobian
+from .geometry import Plane, plane_distances, tangential_jacobian
 
 __all__ = [
     "Atom",
@@ -229,14 +229,8 @@ def push_forward(
         raise CertificateViolation(certificate, safety)
 
     positions = v.positions + tau * f.values
-    eye = np.eye(v.n)
-    frames = np.empty_like(v.frames)
-    masses = np.empty_like(v.masses)
-    for j in range(len(v)):
-        jac, image = tangential_jacobian(eye + tau * f.differentials[j], Plane(v.frames[j]))
-        frames[j] = image.frame
-        masses[j] = v.masses[j] * jac
-    return Varifold(v.d, v.n, positions, frames, masses)
+    jac, frames = tangential_jacobian(np.eye(v.n) + tau * f.differentials, v.frames)
+    return Varifold(v.d, v.n, positions, frames, v.masses * jac)
 
 
 def compose(v: Varifold, outer: SampledMap, inner: SampledMap) -> SampledMap:
@@ -269,8 +263,5 @@ def compose_check(v: Varifold, outer: SampledMap, inner: SampledMap) -> float:
         return 0.0
     pos_err = float(np.max(np.linalg.norm(step_outer.positions - direct.positions, axis=1)))
     mass_err = float(np.max(np.abs(step_outer.masses - direct.masses)))
-    plane_err = max(
-        plane_distance(Plane(step_outer.frames[j]), Plane(direct.frames[j]))
-        for j in range(len(v))
-    )
+    plane_err = float(np.max(plane_distances(step_outer.frames, direct.frames)))
     return max(pos_err, mass_err, plane_err)

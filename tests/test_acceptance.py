@@ -355,7 +355,7 @@ def test_criterion_10_plane_algebra_suite():
         for _ in range(60):
             r = rng.standard_normal((n, n))
             r *= size / np.abs(r).max()
-            j, _ = tangential_jacobian(np.eye(n) + r, s)
+            j, _ = tangential_jacobian(np.eye(n) + r, s.frame)
             errs.append(abs(j - 1.0 - float(np.trace(r @ s.projector))))
         worst_errs.append(max(errs))
     slope = float(np.polyfit(np.log(sizes), np.log(worst_errs), 1)[0])

@@ -125,18 +125,18 @@ class TestAlignFrames:
 class TestTangentialJacobian:
     def test_identity_map(self):
         s = line2(0.0)
-        j, image = tangential_jacobian(np.eye(2), s)
+        j, image = tangential_jacobian(np.eye(2), s.frame)
         assert j == pytest.approx(1.0, abs=1e-14)
-        assert plane_distance(image, s) < 1e-12
+        assert plane_distance(Plane(image), s) < 1e-12
 
     @pytest.mark.parametrize("d,n", SPACES)
     def test_uniform_scaling(self, d, n):
         rng = np.random.default_rng(17)
         s = random_plane(rng, d, n)
         a = 0.2
-        j, image = tangential_jacobian((1.0 + a) * np.eye(n), s)
+        j, image = tangential_jacobian((1.0 + a) * np.eye(n), s.frame)
         assert j == pytest.approx((1.0 + a) ** d, rel=1e-12)
-        assert plane_distance(image, s) < 1e-12
+        assert plane_distance(Plane(image), s) < 1e-12
 
     def test_shear_line(self):
         # oracle: the 1x1 Gram determinant of the sheared direction
@@ -144,26 +144,26 @@ class TestTangentialJacobian:
         s = line2(0.0)
         df = np.eye(2)
         df[1, 0] = tau
-        j, image = tangential_jacobian(df, s)
+        j, image = tangential_jacobian(df, s.frame)
         assert j == pytest.approx(np.sqrt(1.0 + tau**2), rel=1e-12)
         expected = np.array([1.0, tau]) / np.sqrt(1.0 + tau**2)
-        assert plane_distance(image, Plane.span(expected)) < 1e-12
+        assert plane_distance(Plane(image), Plane.span(expected)) < 1e-12
 
     def test_image_projector_formula(self):
         rng = np.random.default_rng(19)
         for d, n in SPACES:
             s = random_plane(rng, d, n)
             df = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-            _, image = tangential_jacobian(df, s)
+            _, image = tangential_jacobian(df, s.frame)
             y = df @ s.frame.T
             oracle = y @ np.linalg.inv(y.T @ y) @ y.T
-            assert np.abs(image.projector - oracle).max() < 1e-9
+            assert np.abs(image.T @ image - oracle).max() < 1e-9
 
     def test_degenerate_map(self):
         s = line2(0.0)
         crush = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegeneratePushforward):
-            tangential_jacobian(crush, s)
+            tangential_jacobian(crush, s.frame)
 
     def test_multiplicativity(self):
         rng = np.random.default_rng(23)
@@ -171,10 +171,37 @@ class TestTangentialJacobian:
             s = random_plane(rng, d, n)
             df = np.eye(n) + 0.2 * rng.standard_normal((n, n))
             dg = np.eye(n) + 0.2 * rng.standard_normal((n, n))
-            j_g, mid = tangential_jacobian(dg, s)
+            j_g, mid = tangential_jacobian(dg, s.frame)
             j_f, _ = tangential_jacobian(df, mid)
-            j_fg, _ = tangential_jacobian(df @ dg, s)
+            j_fg, _ = tangential_jacobian(df @ dg, s.frame)
             assert abs(j_fg - j_f * j_g) < 1e-9
+
+    @pytest.mark.parametrize("d,n", SPACES)
+    def test_stacked_matches_per_atom_reference(self, d, n):
+        # reference: per-atom Gram determinant and the image projector
+        # y (y^T y)^{-1} y^T, compared by the top singular value of the difference
+        rng = np.random.default_rng(37)
+        count = 40
+        frames = np.stack([random_plane(rng, d, n).frame for _ in range(count)])
+        dfs = np.eye(n) + 0.3 * rng.standard_normal((count, n, n))
+        jac, images = tangential_jacobian(dfs, frames)
+        assert jac.shape == (count,) and images.shape == (count, d, n)
+        for j in range(count):
+            y = dfs[j] @ frames[j].T
+            gram = y.T @ y
+            ref = np.sqrt(np.linalg.det(gram))
+            assert abs(jac[j] - ref) <= 1e-14 * ref
+            oracle = y @ np.linalg.inv(gram) @ y.T
+            gap = np.linalg.svd(images[j].T @ images[j] - oracle, compute_uv=False)[0]
+            assert gap <= 1e-12
+
+    def test_stacked_names_the_crushed_atom(self):
+        rng = np.random.default_rng(41)
+        frames = np.stack([random_plane(rng, 2, 3).frame for _ in range(10)])
+        dfs = np.tile(np.eye(3), (10, 1, 1))
+        dfs[6] = np.eye(3) - frames[6].T @ frames[6]  # maps the plane to 0
+        with pytest.raises(DegeneratePushforward, match=r"at atom 6:"):
+            tangential_jacobian(dfs, frames)
 
     def test_first_order_expansion_is_second_order_accurate(self):
         # |J(I + R) - 1 - tr(R P)| should scale like |R|_inf^2
@@ -188,7 +215,7 @@ class TestTangentialJacobian:
             for _ in range(50):
                 r = rng.standard_normal((n, n))
                 r *= size / np.abs(r).max()
-                j, _ = tangential_jacobian(np.eye(n) + r, s)
+                j, _ = tangential_jacobian(np.eye(n) + r, s.frame)
                 errs.append(abs(j - 1.0 - np.trace(r @ s.projector)))
             worst.append(max(errs))
         slope = np.polyfit(np.log(sizes), np.log(worst), 1)[0]

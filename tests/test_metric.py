@@ -204,6 +204,83 @@ class TestSupportProblem:
         assert problem.weights[0] == pytest.approx(0.25)
 
 
+def dense_support_reference(v, w, tol=1e-12):
+    """Greedy O(K^2) merge and n x n SVDs of projector differences."""
+    positions, frames, projectors, weights = [], [], [], []
+    for source, sign in ((v, 1.0), (w, -1.0)):
+        projs = source.projectors()
+        for j in range(len(source)):
+            for i in range(len(positions)):
+                if (
+                    np.abs(positions[i] - source.positions[j]).max() <= tol
+                    and np.abs(projectors[i] - projs[j]).max() <= tol
+                ):
+                    weights[i] += sign * source.masses[j]
+                    break
+            else:
+                positions.append(source.positions[j])
+                frames.append(source.frames[j])
+                projectors.append(projs[j])
+                weights.append(sign * source.masses[j])
+    pos, prj = np.stack(positions), np.stack(projectors)
+    spatial = np.linalg.norm(pos[:, None] - pos[None], axis=2)
+    plane = np.linalg.svd(prj[:, None] - prj[None], compute_uv=False)[..., 0]
+    dist = spatial + plane
+    np.fill_diagonal(dist, 0.0)
+    return pos, np.stack(frames), np.array(weights), dist
+
+
+def tilted(frame, angle):
+    """Frame with its first row turned by ``angle`` towards the last axis."""
+    out = frame.copy()
+    out[0] = np.cos(angle) * frame[0] + np.sin(angle) * np.eye(frame.shape[1])[-1]
+    return out
+
+
+class TestSupportBuildAgainstDenseReference:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_planted_duplicates(self, d):
+        rng = np.random.default_rng(100 + d)
+        n = 3
+        frames = [Plane.span(rng.standard_normal((d, n))).frame for _ in range(30)]
+        positions = list(rng.standard_normal((30, n)))
+        masses = list(rng.random(30) + 0.1)
+        # duplicates within V: exact copies of atoms 0 and 1
+        for j in (0, 1, 0):
+            positions.append(positions[j].copy())
+            frames.append(frames[j])
+            masses.append(rng.random() + 0.1)
+        # a position chain 0.7e-12 apart: the middle atom merges, the last does not
+        base = np.array([0.25, -0.5, 0.75])
+        axis = np.eye(d, n)  # span of the first d axes; the tilt leaves it
+        for k in range(3):
+            positions.append(base + np.array([0.7e-12 * k, 0.0, 0.0]))
+            frames.append(axis)
+            masses.append(0.5)
+        v = Varifold(d, n, np.stack(positions), np.stack(frames), np.array(masses))
+
+        w_pos = [v.positions[j].copy() for j in (2, 3, 30)]  # shared with V
+        w_frm = [v.frames[j] for j in (2, 3, 30)]
+        for gap in (0.5e-12, 2e-12):  # near-duplicates of atom 4 and of the base atom
+            w_pos.append(v.positions[4] + gap * np.array([1.0, -1.0, 1.0]))
+            w_frm.append(v.frames[4])
+            w_pos.append(base.copy())
+            w_frm.append(tilted(axis, gap))
+        w_pos.extend(rng.standard_normal((10, n)))
+        w_frm.extend(Plane.span(rng.standard_normal((d, n))).frame for _ in range(10))
+        count = len(w_pos)
+        w = Varifold(d, n, np.stack(w_pos), np.stack(w_frm), rng.random(count) + 0.1)
+
+        problem = build_support_problem(v, w)
+        pos, frm, wts, dist = dense_support_reference(v, w)
+        # 3 within V, 1 in the chain, 3 shared and the two 0.5e-12 near-duplicates
+        assert problem.size == len(v) + len(w) - 9
+        assert np.array_equal(problem.positions, pos)
+        assert np.array_equal(problem.frames, frm)
+        assert np.array_equal(problem.weights, wts)
+        assert np.abs(problem.distances - dist).max() <= 1e-12
+
+
 class TestLowerBound:
     def test_zero_witness(self):
         rng = np.random.default_rng(7)

@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import CertificateViolation, ConfigError, EngineError
+from .flow import _check_keys, _object, _scalar, record_from_dict
 
 SCHEMA_VERSION = 1
 
@@ -30,17 +32,6 @@ EXIT_CERTIFICATE_ABORT = 2
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INPUT_ERROR
-
-
-def _check_keys(obj: dict, context: str, required: tuple = (), optional: tuple = ()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ConfigError(f"{context}: missing keys {sorted(missing)}")
 
 
 def _load_config(path: str) -> dict:
@@ -56,111 +47,46 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _shape_from_dict(data: dict):
-    from .ingest import ShapeSpec
-
-    _check_keys(
-        data,
-        "input.shape",
-        required=("kind", "samples"),
-        optional=(
-            "mass_mode",
-            "radius",
-            "minor_radius",
-            "neck",
-            "angle",
-            "length",
-            "intersection",
-            "graph",
-        ),
-    )
-    return ShapeSpec(**data)
-
-
 def _varifold_from_input(data: dict):
-    from .ingest import cloud_to_varifold, generate, load
+    from .ingest import ShapeSpec, cloud_to_varifold, generate, load
 
     _check_keys(data, "input", optional=("shape", "file", "format", "d", "neighbors"))
     if ("shape" in data) == ("file" in data):
         raise ConfigError("input: provide exactly one of 'shape' or 'file'")
     if "shape" in data:
-        return generate(_shape_from_dict(data["shape"]))
+        return generate(record_from_dict(ShapeSpec, data["shape"], "input.shape"))
     cloud = load(data["file"], data.get("format"))
     return cloud_to_varifold(cloud, d=data.get("d"), k=int(data.get("neighbors", 8)))
 
 
-def _quadrature_from_dict(data: dict):
-    from .curvature import QuadratureSpec
-
-    _check_keys(
-        data,
-        "quadrature",
-        optional=("points_per_axis", "domain_radius_factor", "max_nodes"),
-    )
-    return QuadratureSpec(**data)
-
-
 def _flow_config_from_dict(data: dict):
-    from .curvature import QuadratureSpec
+    """``horizon`` and one of ``steps``, ``dyadic_level`` or ``times`` make the
+    subdivision; the other keys are FlowConfig fields."""
     from .flow import FlowConfig, Subdivision
 
-    _check_keys(
-        data,
-        "flow",
-        required=("eps",),
-        optional=(
-            "horizon",
-            "steps",
-            "dyadic_level",
-            "times",
-            "quadrature",
-            "diffeo_safety",
-            "step_mode",
-            "strict_constant",
-        ),
-    )
-    modes = [k for k in ("steps", "dyadic_level", "times") if k in data]
+    modes = [k for k in ("steps", "dyadic_level", "times") if k in _object(data, "flow")]
     if len(modes) != 1:
         raise ConfigError("flow: provide exactly one of 'steps', 'dyadic_level' or 'times'")
-    horizon = float(data.get("horizon", 1.0))
+    span = {"horizon": _scalar(data["horizon"], float, "flow.horizon")} if "horizon" in data else {}
     if "steps" in data:
-        subdivision = Subdivision.uniform(int(data["steps"]), horizon)
+        subdivision = Subdivision.uniform(_scalar(data["steps"], int, "flow.steps"), **span)
     elif "dyadic_level" in data:
-        subdivision = Subdivision.dyadic(int(data["dyadic_level"]), horizon)
+        level = _scalar(data["dyadic_level"], int, "flow.dyadic_level")
+        subdivision = Subdivision.dyadic(level, **span)
     else:
-        import numpy as np
-
-        subdivision = Subdivision(np.asarray(data["times"], dtype=float))
-    quadrature = (
-        _quadrature_from_dict(data["quadrature"]) if "quadrature" in data else QuadratureSpec()
-    )
-    return FlowConfig(
-        eps=float(data["eps"]),
-        subdivision=subdivision,
-        quadrature=quadrature,
-        diffeo_safety=float(data.get("diffeo_safety", 0.5)),
-        step_mode=str(data.get("step_mode", "practical")),
-        strict_constant=float(data.get("strict_constant", 1.0)),
-    )
+        subdivision = record_from_dict(Subdivision, {"times": data["times"]}, "flow")
+    rest = {k: v for k, v in data.items() if k not in ("horizon", *modes)}
+    return record_from_dict(FlowConfig, rest, "flow", subdivision=subdivision)
 
 
 def cmd_generate(args) -> int:
     from .ingest import ShapeSpec, generate, save_varifold_json
 
-    spec_kwargs = {
-        "kind": args.kind,
-        "samples": args.samples,
-        "mass_mode": args.mass_mode,
-        "radius": args.radius,
-        "minor_radius": args.minor_radius,
-        "neck": args.neck,
-        "angle": args.angle,
-        "length": args.length,
-        "intersection": args.intersection,
-    }
-    if args.graph is not None:
-        spec_kwargs["graph"] = json.loads(args.graph)
-    v = generate(ShapeSpec(**spec_kwargs))
+    # options left out are absent from args, so ShapeSpec's defaults apply
+    spec = {f.name: getattr(args, f.name) for f in fields(ShapeSpec) if hasattr(args, f.name)}
+    if "graph" in spec:
+        spec["graph"] = json.loads(spec["graph"])
+    v = generate(ShapeSpec(**spec))
     save_varifold_json(v, args.out)
     print(f"wrote {len(v)} atoms (mass {v.mass():.17g}) to {args.out}")
     return EXIT_OK
@@ -168,17 +94,10 @@ def cmd_generate(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = _load_config(args.config)
-    _check_keys(
-        config,
-        "config",
-        required=("schema", "input", "flow", "outputs"),
-        optional=("seed",),
-    )
+    _check_keys(config, "config", required=("schema", "input", "flow", "outputs"))
     _check_keys(
         config["outputs"], "outputs", required=("trajectory",), optional=("diagnostics", "csv")
     )
-    seed = int(config.get("seed", 0))
-    del seed  # reserved for randomized inputs; generators here are deterministic
 
     from .flow import evolve, write_atoms_csv, write_diagnostics_csv, write_trajectory_json
 
@@ -242,23 +161,26 @@ def cmd_refine_study(args) -> int:
         config,
         "config",
         required=("schema", "input", "eps", "levels"),
-        optional=("seed", "horizon", "quadrature", "diffeo_safety"),
+        optional=("horizon", "quadrature", "diffeo_safety"),
     )
     levels = config["levels"]
     if not (isinstance(levels, list) and len(levels) == 2):
         raise ConfigError("levels must be [first, last]")
+    first, last = (_scalar(j, int, "config.levels") for j in levels)
 
+    from .curvature import QuadratureSpec
     from .flow import refinement_study
 
+    options = {
+        k: _scalar(config[k], float, f"config.{k}")
+        for k in ("eps", "horizon", "diffeo_safety")
+        if k in config
+    }
+    if "quadrature" in config:
+        quadrature = record_from_dict(QuadratureSpec, config["quadrature"], "config.quadrature")
+        options["spec"] = quadrature
     v0 = _varifold_from_input(config["input"])
-    rows = refinement_study(
-        v0,
-        eps=float(config["eps"]),
-        levels=range(int(levels[0]), int(levels[1]) + 1),
-        spec=_quadrature_from_dict(config["quadrature"]) if "quadrature" in config else None,
-        horizon=float(config.get("horizon", 1.0)),
-        diffeo_safety=float(config.get("diffeo_safety", 0.5)),
-    )
+    rows = refinement_study(v0, levels=range(first, last + 1), **options)
     print("level,distance,ratio")
     for row in rows:
         ratio = "" if row.ratio is None else format(row.ratio, ".17g")
@@ -323,17 +245,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="sample an analytic shape to JSON")
+    gen = sub.add_parser(
+        "generate", help="sample an analytic shape to JSON", argument_default=argparse.SUPPRESS
+    )
     gen.add_argument("--kind", required=True)
     gen.add_argument("--samples", type=int, required=True)
-    gen.add_argument("--mass-mode", dest="mass_mode", default="uniform-per-length")
-    gen.add_argument("--radius", type=float, default=1.0)
-    gen.add_argument("--minor-radius", dest="minor_radius", type=float, default=0.25)
-    gen.add_argument("--neck", type=float, default=0.35)
-    gen.add_argument("--angle", type=float, default=1.5707963267948966)
-    gen.add_argument("--length", type=float, default=2.0)
-    gen.add_argument("--intersection", default="double")
-    gen.add_argument("--graph", default=None, help="JSON {vertices, edges} for custom-graph")
+    gen.add_argument("--mass-mode", dest="mass_mode")
+    gen.add_argument("--radius", type=float)
+    gen.add_argument("--minor-radius", dest="minor_radius", type=float)
+    gen.add_argument("--neck", type=float)
+    gen.add_argument("--angle", type=float)
+    gen.add_argument("--length", type=float)
+    gen.add_argument("--intersection")
+    gen.add_argument("--graph", help="JSON {vertices, edges} for custom-graph")
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=cmd_generate)
 

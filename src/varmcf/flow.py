@@ -18,12 +18,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .curvature import CurvatureField, QuadratureSpec, curvature_field, dissipation
+# dissipation is not called here; perfbench's traced run wraps varmcf.flow.dissipation by name
+from .curvature import CurvatureField, QuadratureSpec, curvature_field, dissipation  # noqa: F401
 from .errors import CertificateViolation, ConfigError, EngineError
 from .kernel import Kernel
 from .metric import bounded_lipschitz_distance
@@ -134,7 +135,7 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    index: int
+    step: int
     t_start: float
     t_end: float
     mass_before: float
@@ -249,7 +250,7 @@ def _apply_field(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(v.masses > 0.0, pushed.masses / np.where(v.masses > 0.0, v.masses, 1.0), 1.0)
     diag = StepDiagnostics(
-        index=index,
+        step=index,
         t_start=t_start,
         t_end=t_start + tau,
         mass_before=mass_before,
@@ -584,38 +585,72 @@ def _to_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def quadrature_to_dict(spec: QuadratureSpec) -> dict:
-    return {
-        "points_per_axis": spec.points_per_axis,
-        "domain_radius_factor": spec.domain_radius_factor,
-        "max_nodes": spec.max_nodes,
-    }
+def _object(obj, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context}: expected an object")
+    return obj
+
+
+def _check_keys(obj: dict, context: str, required: tuple = (), optional: tuple = ()) -> None:
+    unknown = set(_object(obj, context)) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise ConfigError(f"{context}: missing keys {sorted(missing)}")
+
+
+def _scalar(value, kind: type, where: str):
+    """A JSON scalar of type ``kind``; an integer also passes for a float."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def record_from_dict(cls, data: dict, context: str, **built):
+    """Build the dataclass ``cls`` from a JSON object keyed by its init fields.
+
+    Fields without a default are required.  ``int``, ``float``, ``bool`` and
+    ``str`` fields take JSON values of that type (an integer also passes
+    for a float and is converted); a field typed as another dataclass is
+    read as the nested record ``context.field``.  ``built`` supplies fields
+    the caller made from other keys, which ``data`` may then not carry.
+    """
+    init = [f for f in fields(cls) if f.init and f.name not in built]
+    _check_keys(
+        data,
+        context,
+        required=tuple(
+            f.name for f in init if f.default is MISSING and f.default_factory is MISSING
+        ),
+        optional=tuple(f.name for f in init),
+    )
+    hints = get_type_hints(cls)
+    values = dict(built)
+    for name, value in data.items():
+        kind = hints[name]
+        if is_dataclass(kind):
+            value = record_from_dict(kind, value, f"{context}.{name}")
+        elif kind in (int, float, bool, str):
+            value = _scalar(value, kind, f"{context}.{name}")
+        values[name] = value
+    return cls(**values)
 
 
 def config_to_dict(config: FlowConfig) -> dict:
-    return {
-        "eps": config.eps,
-        "times": [float(t) for t in config.subdivision.times],
-        "quadrature": quadrature_to_dict(config.quadrature),
-        "diffeo_safety": config.diffeo_safety,
-        "step_mode": config.step_mode,
-        "strict_constant": config.strict_constant,
-    }
+    """FlowConfig's fields, with the subdivision stored as its ``times``."""
+    doc = asdict(config)
+    doc["subdivision"] = config.subdivision.times.tolist()
+    return {("times" if k == "subdivision" else k): v for k, v in doc.items()}
 
 
 def config_from_dict(data: dict) -> FlowConfig:
-    quadrature = data["quadrature"]
-    unknown = set(quadrature) - {f.name for f in fields(QuadratureSpec)}
-    if unknown:
-        raise ConfigError(f"quadrature: unknown keys {sorted(unknown)}")
-    return FlowConfig(
-        eps=float(data["eps"]),
-        subdivision=Subdivision(np.asarray(data["times"], dtype=float)),
-        quadrature=QuadratureSpec(**quadrature),
-        diffeo_safety=float(data["diffeo_safety"]),
-        step_mode=str(data["step_mode"]),
-        strict_constant=float(data["strict_constant"]),
-    )
+    """Inverse of ``config_to_dict``."""
+    rest = dict(_object(data, "config"))
+    times = {"times": rest.pop("times")} if "times" in rest else {}
+    subdivision = record_from_dict(Subdivision, times, "config")
+    return record_from_dict(FlowConfig, rest, "config", subdivision=subdivision)
 
 
 def varifold_to_dict(v: Varifold) -> dict:
@@ -653,31 +688,10 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
         "snapshots": [
             {"t": float(t), **varifold_to_dict(v)} for t, v in zip(traj.times, traj.snapshots)
         ],
-        "diagnostics": [
-            {
-                "step": d.index,
-                "t_start": d.t_start,
-                "t_end": d.t_end,
-                "mass_before": d.mass_before,
-                "mass_after": d.mass_after,
-                "dissipation": d.dissipation,
-                "velocity_first_variation": d.velocity_first_variation,
-                "certificate": d.certificate,
-                "safety": d.safety,
-                "jacobian_min": d.jacobian_min,
-                "jacobian_max": d.jacobian_max,
-                "mass_bound_ok": d.mass_bound_ok,
-                "gate": d.gate,
-            }
-            for d in traj.diagnostics
-        ],
+        "diagnostics": [asdict(d) for d in traj.diagnostics],
     }
     if traj.failure is not None:
-        doc["failure"] = {
-            "step": traj.failure.step,
-            "time": traj.failure.time,
-            "reason": traj.failure.reason,
-        }
+        doc["failure"] = asdict(traj.failure)
     return doc
 
 
@@ -690,57 +704,29 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
 def read_trajectory_json(path) -> Trajectory:
     with open(path) as fh:
         doc = json.load(fh)
+    _check_keys(
+        doc, "trajectory", required=("config", "snapshots", "diagnostics"), optional=("failure",)
+    )
+    for s in doc["snapshots"]:
+        _check_keys(s, "snapshots", required=("t", "d", "n", "atoms"))
     snapshots = [varifold_from_dict(s) for s in doc["snapshots"]]
-    times = [float(s["t"]) for s in doc["snapshots"]]
-    diagnostics = [
-        StepDiagnostics(
-            index=int(d["step"]),
-            t_start=float(d["t_start"]),
-            t_end=float(d["t_end"]),
-            mass_before=float(d["mass_before"]),
-            mass_after=float(d["mass_after"]),
-            dissipation=float(d["dissipation"]),
-            velocity_first_variation=float(d["velocity_first_variation"]),
-            certificate=float(d["certificate"]),
-            safety=float(d["safety"]),
-            jacobian_min=float(d["jacobian_min"]),
-            jacobian_max=float(d["jacobian_max"]),
-            mass_bound_ok=bool(d["mass_bound_ok"]),
-            gate=str(d["gate"]),
-        )
-        for d in doc["diagnostics"]
-    ]
-    failure = None
-    if "failure" in doc:
-        failure = FailureRecord(
-            step=int(doc["failure"]["step"]),
-            time=float(doc["failure"]["time"]),
-            reason=str(doc["failure"]["reason"]),
-        )
     return Trajectory(
         config=config_from_dict(doc["config"]),
-        times=times,
+        times=[_scalar(s["t"], float, "snapshots.t") for s in doc["snapshots"]],
         snapshots=snapshots,
-        diagnostics=diagnostics,
+        diagnostics=[
+            record_from_dict(StepDiagnostics, d, f"diagnostics[{i}]")
+            for i, d in enumerate(doc["diagnostics"])
+        ],
         fields=[None] * len(snapshots),
-        failure=failure,
+        failure=(
+            record_from_dict(FailureRecord, doc["failure"], "failure") if "failure" in doc else None
+        ),
     )
 
 
-DIAGNOSTICS_HEADER = [
-    "step",
-    "t_start",
-    "t_end",
-    "mass_before",
-    "mass_after",
-    "dissipation",
-    "velocity_first_variation",
-    "certificate",
-    "jacobian_min",
-    "jacobian_max",
-    "mass_bound_ok",
-    "gate",
-]
+# the CSV leaves out the step's safety limit, which the trajectory file keeps
+DIAGNOSTICS_HEADER = [f.name for f in fields(StepDiagnostics) if f.name != "safety"]
 
 
 def write_diagnostics_csv(traj: Trajectory, path) -> None:
@@ -748,21 +734,10 @@ def write_diagnostics_csv(traj: Trajectory, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(DIAGNOSTICS_HEADER)
         for d in traj.diagnostics:
+            row = [getattr(d, name) for name in DIAGNOSTICS_HEADER]
             writer.writerow(
-                [
-                    d.index,
-                    _fmt(d.t_start),
-                    _fmt(d.t_end),
-                    _fmt(d.mass_before),
-                    _fmt(d.mass_after),
-                    _fmt(d.dissipation),
-                    _fmt(d.velocity_first_variation),
-                    _fmt(d.certificate),
-                    _fmt(d.jacobian_min),
-                    _fmt(d.jacobian_max),
-                    int(d.mass_bound_ok),
-                    d.gate,
-                ]
+                int(v) if isinstance(v, bool) else _fmt(v) if isinstance(v, float) else v
+                for v in row
             )
 
 

@@ -15,7 +15,6 @@ from varmcf.flow import read_trajectory_json
 def run_config(tmp_path, **overrides):
     config = {
         "schema": 1,
-        "seed": 0,
         "input": {"shape": {"kind": "circle", "samples": 24}},
         "flow": {
             "eps": 0.1,
@@ -77,6 +76,27 @@ class TestEvolve:
         path, _ = run_config(tmp_path, extra_field=1)
         assert main(["evolve", str(path)]) == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": 0}, "config: unknown keys ['seed']"),
+            (
+                {"input": {"shape": {"kind": "circle", "samples": "24"}}},
+                "input.shape.samples: expected int, got '24'",
+            ),
+            (
+                {"flow": {"eps": 0.1, "steps": 4, "quadrature": {"points_per_axis": "16"}}},
+                "flow.quadrature.points_per_axis: expected int, got '16'",
+            ),
+        ],
+        ids=["seed", "samples-string", "points-per-axis-string"],
+    )
+    def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, overrides, message):
+        path, _ = run_config(tmp_path, **overrides)
+        assert main(["evolve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         path, _ = run_config(tmp_path, schema=99)

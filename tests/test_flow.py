@@ -3,14 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from varmcf.cli import main
 from varmcf.curvature import QuadratureSpec, curvature_field
 from varmcf.errors import CertificateViolation, ConfigError
 from varmcf.flow import (
     ConstantTest,
+    FailureRecord,
     FlowConfig,
     GaussianBump,
     PolynomialBump,
+    StepDiagnostics,
     Subdivision,
+    Trajectory,
     brakke_residual,
     evolve,
     interpolation_gap,
@@ -348,6 +352,82 @@ def serialized_traj():
     return evolve(circle(12), config)
 
 
+PINNED_TRAJECTORY = """{
+  "config": {
+    "eps": 0.10000000000000001,
+    "times": [0, 9.9999999999999995e-21, 0.10000000000000001],
+    "quadrature": {
+      "points_per_axis": 8,
+      "domain_radius_factor": 5,
+      "max_nodes": 20000000
+    },
+    "diffeo_safety": 0.5,
+    "step_mode": "strict",
+    "strict_constant": 1
+  },
+  "snapshots": [
+    {
+      "t": 0,
+      "d": 1,
+      "n": 2,
+      "atoms": [
+        {
+          "x": [0.10000000000000001, 0],
+          "frame": [
+            [1, 0]
+          ],
+          "m": 9.9999999999999995e-21
+        }
+      ]
+    },
+    {
+      "t": 9.9999999999999995e-21,
+      "d": 1,
+      "n": 2,
+      "atoms": [
+        {
+          "x": [0.10000000000000001, 0],
+          "frame": [
+            [1, 0]
+          ],
+          "m": 9.9999999999999995e-21
+        }
+      ]
+    }
+  ],
+  "diagnostics": [
+    {
+      "step": 0,
+      "t_start": 0,
+      "t_end": 9.9999999999999995e-21,
+      "mass_before": 9.9999999999999995e-21,
+      "mass_after": 9.9999999999999995e-21,
+      "dissipation": 0,
+      "velocity_first_variation": 0.10000000000000001,
+      "certificate": 1,
+      "safety": 0.5,
+      "jacobian_min": 1,
+      "jacobian_max": 1,
+      "mass_bound_ok": true,
+      "gate": "strict"
+    }
+  ],
+  "failure": {
+    "step": 1,
+    "time": 9.9999999999999995e-21,
+    "reason": "diffeomorphism certificate 1 exceeds limit 0.5"
+  }
+}
+"""
+
+PINNED_DIAGNOSTICS = (
+    "step,t_start,t_end,mass_before,mass_after,dissipation,velocity_first_variation,"
+    "certificate,jacobian_min,jacobian_max,mass_bound_ok,gate\r\n"
+    "0,0,9.9999999999999995e-21,9.9999999999999995e-21,9.9999999999999995e-21,0,"
+    "0.10000000000000001,1,1,1,1,strict\r\n"
+)
+
+
 class TestSerialization:
     @pytest.fixture()
     def traj(self, serialized_traj):
@@ -387,6 +467,55 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="rule"):
             read_trajectory_json(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc["diagnostics"][0].pop("gate"),
+                "diagnostics[0]: missing keys ['gate']",
+            ),
+            (
+                lambda doc: doc["diagnostics"][1].update(stray=1),
+                "diagnostics[1]: unknown keys ['stray']",
+            ),
+            (
+                lambda doc: doc.update(failure={"step": 3, "time": 0.0, "reason": "", "stray": 1}),
+                "failure: unknown keys ['stray']",
+            ),
+            (lambda doc: doc["config"].pop("eps"), "config: missing keys ['eps']"),
+        ],
+        ids=["row-without-gate", "row-extra-key", "failure-extra-key", "config-without-eps"],
+    )
+    def test_malformed_record_exits_1_naming_the_key(self, tmp_path, capsys, traj, edit, message):
+        path = tmp_path / "traj.json"
+        write_trajectory_json(traj, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["diagnose", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_writers_match_the_pinned_format(self, tmp_path):
+        # -0.0, floats that print as integers and 1e-20 must keep the text
+        # the writers have always produced
+        atom = Varifold(1, 2, [[0.1, -0.0]], [[[1.0, 0.0]]], [1e-20])
+        config = FlowConfig(
+            eps=0.1,
+            subdivision=Subdivision(np.array([0.0, 1e-20, 0.1])),
+            quadrature=FAST_QUAD,
+            step_mode="strict",
+        )
+        diag = StepDiagnostics(
+            0, 0.0, 1e-20, 1e-20, 1e-20, -0.0, 0.1, 1.0, 0.5, 1.0, 1.0, True, "strict"
+        )
+        failure = FailureRecord(1, 1e-20, "diffeomorphism certificate 1 exceeds limit 0.5")
+        traj = Trajectory(config, [0.0, 1e-20], [atom, atom], [diag], [], failure)
+        write_trajectory_json(traj, tmp_path / "traj.json")
+        write_diagnostics_csv(traj, tmp_path / "diag.csv")
+        assert (tmp_path / "traj.json").read_text() == PINNED_TRAJECTORY
+        assert (tmp_path / "diag.csv").read_bytes() == PINNED_DIAGNOSTICS.encode()
 
     def test_reloaded_trajectory_supports_diagnostics(self, tmp_path, traj):
         path = tmp_path / "traj.json"

@@ -55,8 +55,9 @@ def _varifold_from_input(data: dict):
         raise ConfigError("input: provide exactly one of 'shape' or 'file'")
     if "shape" in data:
         return generate(record_from_dict(ShapeSpec, data["shape"], "input.shape"))
-    cloud = load(data["file"], data.get("format"))
-    return cloud_to_varifold(cloud, d=data.get("d"), k=int(data.get("neighbors", 8)))
+    d = _scalar(data["d"], int, "input.d") if "d" in data else None
+    k = _scalar(data.get("neighbors", 8), int, "input.neighbors")
+    return cloud_to_varifold(load(data["file"], data.get("format")), d=d, k=k)
 
 
 def _flow_config_from_dict(data: dict):

@@ -30,7 +30,7 @@ from scipy.spatial import cKDTree
 
 from .errors import QuadratureBudgetExceeded
 from .kernel import Kernel
-from .varifold import Varifold
+from .varifold import SampledMap, Varifold
 
 __all__ = [
     "QuadratureSpec",
@@ -95,30 +95,13 @@ class CellPairs:
 
 
 @dataclass(frozen=True)
-class CurvatureField:
-    """Per-atom regularized curvature velocity and its differential.
-
-    ``dissipation`` is the mass-decay rate computed from the same pairs.
+class CurvatureField(SampledMap):
+    """The regularized curvature h sampled on the atoms, the map a step
+    pushes by (``id + tau h``), plus the mass-decay rate ``dissipation``
+    computed from the same pairs.
     """
 
-    velocities: np.ndarray  # (N, n)
-    differentials: np.ndarray  # (N, n, n)
     dissipation: float
-
-    def __len__(self) -> int:
-        return self.velocities.shape[0]
-
-    @property
-    def sup_velocity(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.velocities, axis=1)))
-
-    @property
-    def sup_differential(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.differentials, ord=2, axis=(1, 2))))
 
 
 def _pair_convolutions(

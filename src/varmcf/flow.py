@@ -28,7 +28,7 @@ from .curvature import CurvatureField, QuadratureSpec, curvature_field, dissipat
 from .errors import CertificateViolation, ConfigError, EngineError
 from .kernel import Kernel
 from .metric import bounded_lipschitz_distance
-from .varifold import SampledMap, Varifold, first_variation, push_forward
+from .varifold import Varifold, first_variation, push_forward, weighted_first_variation
 
 __all__ = [
     "Subdivision",
@@ -217,20 +217,12 @@ class Trajectory:
             return self.snapshots[i]
         if mode != "interpolate":
             raise ValueError(f"unknown extension mode {mode!r}")
-        f = self.field_at(i)
         return push_forward(
-            self.snapshots[i],
-            SampledMap(f.velocities, f.differentials),
-            tau,
-            safety=self.config.diffeo_safety,
+            self.snapshots[i], self.field_at(i), tau, safety=self.config.diffeo_safety
         )
 
     def mass_history(self) -> np.ndarray:
         return np.array([v.mass() for v in self.snapshots])
-
-
-def _velocity_divergence(v: Varifold, f: CurvatureField) -> float:
-    return first_variation(v, f.velocities, f.differentials)
 
 
 def _apply_field(
@@ -242,10 +234,7 @@ def _apply_field(
     t_start: float,
     gate: str,
 ) -> tuple[Varifold, StepDiagnostics]:
-    certificate = tau * f.sup_differential
-    if certificate > safety:
-        raise CertificateViolation(certificate, safety)
-    pushed = push_forward(v, SampledMap(f.velocities, f.differentials), tau, safety=safety)
+    pushed = push_forward(v, f, tau, safety=safety)
     mass_before, mass_after = v.mass(), pushed.mass()
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(v.masses > 0.0, pushed.masses / np.where(v.masses > 0.0, v.masses, 1.0), 1.0)
@@ -256,8 +245,8 @@ def _apply_field(
         mass_before=mass_before,
         mass_after=mass_after,
         dissipation=f.dissipation,
-        velocity_first_variation=_velocity_divergence(v, f),
-        certificate=certificate,
+        velocity_first_variation=first_variation(v, f.velocities, f.differentials),
+        certificate=tau * f.sup_differential,
         safety=safety,
         jacobian_min=float(ratios.min()) if len(v) else 1.0,
         jacobian_max=float(ratios.max()) if len(v) else 1.0,
@@ -428,20 +417,6 @@ class PolynomialBump:
         return np.zeros(x.shape[0])
 
 
-def _weighted_variation_of_field(
-    v: Varifold, f: CurvatureField, phi, t: float
-) -> float:
-    from .varifold import weighted_first_variation
-
-    return weighted_first_variation(
-        v,
-        phi.value(v.positions, t),
-        phi.gradient(v.positions, t),
-        f.velocities,
-        f.differentials,
-    )
-
-
 def brakke_residual(traj: Trajectory, phi, a: float, b: float) -> float:
     """Defect of the integral mass-evolution identity over [a, b].
 
@@ -461,14 +436,15 @@ def brakke_residual(traj: Trajectory, phi, a: float, b: float) -> float:
     )
     rhs = 0.0
     for i in range(ia, ib):
-        v = traj.snapshots[i]
-        f = traj.field_at(i)
+        v, f = traj.snapshots[i], traj.field_at(i)
         t0, t1 = traj.times[i], traj.times[i + 1]
-        mid = 0.5 * (t0 + t1)
-        rhs += (t1 - t0) * _weighted_variation_of_field(v, f, phi, mid)
+        x, mid = v.positions, 0.5 * (t0 + t1)
+        rhs += (t1 - t0) * weighted_first_variation(
+            v, phi.value(x, mid), phi.gradient(x, mid), f.velocities, f.differentials
+        )
         # The time-derivative term integrates exactly for a piecewise
         # constant flow: its time integral telescopes through phi values.
-        rhs += float(np.dot(v.masses, phi.value(v.positions, t1) - phi.value(v.positions, t0)))
+        rhs += float(np.dot(v.masses, phi.value(x, t1) - phi.value(x, t0)))
     return abs(lhs - rhs)
 
 
@@ -668,9 +644,11 @@ def varifold_to_dict(v: Varifold) -> dict:
     }
 
 
-def varifold_from_dict(data: dict) -> Varifold:
+def varifold_from_dict(data: dict, context: str) -> Varifold:
     atoms = data["atoms"]
-    d, n = int(data["d"]), int(data["n"])
+    for j, a in enumerate(atoms):
+        _check_keys(a, f"{context}.atoms[{j}]", required=("x", "frame", "m"))
+    d, n = (_scalar(data[k], int, f"{context}.{k}") for k in ("d", "n"))
     if not atoms:
         return Varifold.empty(d, n)
     return Varifold(
@@ -707,9 +685,10 @@ def read_trajectory_json(path) -> Trajectory:
     _check_keys(
         doc, "trajectory", required=("config", "snapshots", "diagnostics"), optional=("failure",)
     )
-    for s in doc["snapshots"]:
-        _check_keys(s, "snapshots", required=("t", "d", "n", "atoms"))
-    snapshots = [varifold_from_dict(s) for s in doc["snapshots"]]
+    snapshots = []
+    for i, s in enumerate(doc["snapshots"]):
+        _check_keys(s, f"snapshots[{i}]", required=("t", "d", "n", "atoms"))
+        snapshots.append(varifold_from_dict(s, f"snapshots[{i}]"))
     return Trajectory(
         config=config_from_dict(doc["config"]),
         times=[_scalar(s["t"], float, "snapshots.t") for s in doc["snapshots"]],

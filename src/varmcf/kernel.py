@@ -202,11 +202,7 @@ class Kernel:
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r2 = np.einsum("pi,pi->p", points, points)
-        return self._value_from_r2(r2)
-
-    def _value_from_r2(self, r2: np.ndarray) -> np.ndarray:
-        p, _, _ = self.cutoff(np.sqrt(r2))
-        return self.c_eps * p * _gaussian(r2, self.eps, self.n)
+        return self._value_and_grad_scalar(r2)[0]
 
     def _value_and_grad_scalar(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel value and the scalar s(r) with grad(x) = s(|x|) x.

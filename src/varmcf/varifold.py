@@ -128,29 +128,36 @@ class Varifold:
 class SampledMap:
     """A displacement field sampled on the atoms of a varifold.
 
-    ``values[j]`` is the displacement at atom j and ``differentials[j]`` its
-    spatial Jacobian, so the induced map is ``x + tau * values`` with
-    differential ``I + tau * differentials``.
+    ``velocities[j]`` is the displacement at atom j and ``differentials[j]``
+    its spatial Jacobian, so the induced map is ``x + tau * velocities``
+    with differential ``I + tau * differentials``.
     """
 
-    values: np.ndarray
+    velocities: np.ndarray
     differentials: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        velocities = np.asarray(self.velocities, dtype=float)
         diffs = np.asarray(self.differentials, dtype=float)
-        if values.ndim != 2 or diffs.shape != (values.shape[0], values.shape[1], values.shape[1]):
-            raise DimensionMismatch(
-                f"inconsistent sampled map shapes {values.shape} / {diffs.shape}"
-            )
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(diffs))):
+        shape = velocities.shape
+        if velocities.ndim != 2 or diffs.shape != (shape[0], shape[1], shape[1]):
+            raise DimensionMismatch(f"inconsistent sampled map shapes {shape} / {diffs.shape}")
+        if not (np.all(np.isfinite(velocities)) and np.all(np.isfinite(diffs))):
             raise ValueError("sampled map entries must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "differentials", diffs)
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.velocities.shape[0]
 
+    @property
+    def sup_velocity(self) -> float:
+        """Largest displacement norm among the samples."""
+        if len(self) == 0:
+            return 0.0
+        return float(np.max(np.linalg.norm(self.velocities, axis=1)))
+
+    @property
     def sup_differential(self) -> float:
         """Largest operator norm among the sampled differentials."""
         if len(self) == 0:
@@ -224,11 +231,11 @@ def push_forward(
     _check_samples(v, len(f), "push_forward")
     if tau == 0.0 or len(v) == 0:
         return v
-    certificate = tau * f.sup_differential()
+    certificate = tau * f.sup_differential
     if certificate > safety:
         raise CertificateViolation(certificate, safety)
 
-    positions = v.positions + tau * f.values
+    positions = v.positions + tau * f.velocities
     jac, frames = tangential_jacobian(np.eye(v.n) + tau * f.differentials, v.frames)
     return Varifold(v.d, v.n, positions, frames, v.masses * jac)
 
@@ -242,10 +249,10 @@ def compose(v: Varifold, outer: SampledMap, inner: SampledMap) -> SampledMap:
     """
     _check_samples(v, len(inner), "compose (inner)")
     _check_samples(v, len(outer), "compose (outer)")
-    values = inner.values + outer.values
+    velocities = inner.velocities + outer.velocities
     fo, fi = outer.differentials, inner.differentials
     diffs = fo + fi + np.einsum("jab,jbc->jac", fo, fi)
-    return SampledMap(values, diffs)
+    return SampledMap(velocities, diffs)
 
 
 def compose_check(v: Varifold, outer: SampledMap, inner: SampledMap) -> float:

@@ -89,8 +89,24 @@ class TestEvolve:
                 {"flow": {"eps": 0.1, "steps": 4, "quadrature": {"points_per_axis": "16"}}},
                 "flow.quadrature.points_per_axis: expected int, got '16'",
             ),
+            (
+                {"input": {"file": "cloud.csv", "d": 1, "neighbors": None}},
+                "input.neighbors: expected int, got None",
+            ),
+            ({"input": {"file": "cloud.csv", "d": "1"}}, "input.d: expected int, got '1'"),
+            (
+                {"input": {"file": "cloud.csv", "d": 1, "neighbors": 8.7}},
+                "input.neighbors: expected int, got 8.7",
+            ),
         ],
-        ids=["seed", "samples-string", "points-per-axis-string"],
+        ids=[
+            "seed",
+            "samples-string",
+            "points-per-axis-string",
+            "neighbors-null",
+            "d-string",
+            "neighbors-float",
+        ],
     )
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, overrides, message):
         path, _ = run_config(tmp_path, **overrides)

@@ -209,6 +209,18 @@ class TestSpaceFlows:
             decay = tau * diag.dissipation
             assert abs(masses[k + 1] - masses[k] + decay) / decay <= 5e-2
 
+    def test_sphere_shrinks_at_the_exact_rate(self):
+        # the unit 2-sphere has |H| = 2 and shrinks as R(t)^2 = 1 - 4t
+        tau, steps = 0.002, 5
+        config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(steps, steps * tau))
+        traj = evolve(generate(ShapeSpec("sphere", samples=400)), config)
+        assert traj.failure is None
+        speed = np.linalg.norm(traj.fields[0].velocities, axis=1)
+        assert np.all(np.abs(speed - 2.0) <= 0.1 * 2.0)
+        shrinkage = 1.0 - np.linalg.norm(traj.snapshots[-1].positions, axis=1).mean()
+        exact = 1.0 - np.sqrt(1.0 - 4.0 * steps * tau)
+        assert abs(shrinkage - exact) <= 0.1 * exact
+
     def test_circle_in_space_stays_in_its_plane(self):
         count = 200
         theta = 2.0 * np.pi * np.arange(count) / count
@@ -484,8 +496,23 @@ class TestSerialization:
                 "failure: unknown keys ['stray']",
             ),
             (lambda doc: doc["config"].pop("eps"), "config: missing keys ['eps']"),
+            (
+                lambda doc: doc["snapshots"][1]["atoms"][3].pop("m"),
+                "snapshots[1].atoms[3]: missing keys ['m']",
+            ),
+            (
+                lambda doc: doc["snapshots"][1].update(d=None),
+                "snapshots[1].d: expected int, got None",
+            ),
         ],
-        ids=["row-without-gate", "row-extra-key", "failure-extra-key", "config-without-eps"],
+        ids=[
+            "row-without-gate",
+            "row-extra-key",
+            "failure-extra-key",
+            "config-without-eps",
+            "atom-without-m",
+            "snapshot-d-null",
+        ],
     )
     def test_malformed_record_exits_1_naming_the_key(self, tmp_path, capsys, traj, edit, message):
         path = tmp_path / "traj.json"

@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 
 from .errors import CertificateViolation, ConfigError, EngineError
-from .flow import _check_keys, _object, _scalar, record_from_dict
+from .flow import _check_keys, _scalar, flow_config_from_dict, record_from_dict
 
 SCHEMA_VERSION = 1
 
@@ -50,34 +50,14 @@ def _load_config(path: str) -> dict:
 def _varifold_from_input(data: dict):
     from .ingest import ShapeSpec, cloud_to_varifold, generate, load
 
-    _check_keys(data, "input", optional=("shape", "file", "format", "d", "neighbors"))
+    _check_keys(data, "input", optional=("shape", "file", "d", "neighbors"))
     if ("shape" in data) == ("file" in data):
         raise ConfigError("input: provide exactly one of 'shape' or 'file'")
     if "shape" in data:
         return generate(record_from_dict(ShapeSpec, data["shape"], "input.shape"))
     d = _scalar(data["d"], int, "input.d") if "d" in data else None
     k = _scalar(data.get("neighbors", 8), int, "input.neighbors")
-    return cloud_to_varifold(load(data["file"], data.get("format")), d=d, k=k)
-
-
-def _flow_config_from_dict(data: dict):
-    """``horizon`` and one of ``steps``, ``dyadic_level`` or ``times`` make the
-    subdivision; the other keys are FlowConfig fields."""
-    from .flow import FlowConfig, Subdivision
-
-    modes = [k for k in ("steps", "dyadic_level", "times") if k in _object(data, "flow")]
-    if len(modes) != 1:
-        raise ConfigError("flow: provide exactly one of 'steps', 'dyadic_level' or 'times'")
-    span = {"horizon": _scalar(data["horizon"], float, "flow.horizon")} if "horizon" in data else {}
-    if "steps" in data:
-        subdivision = Subdivision.uniform(_scalar(data["steps"], int, "flow.steps"), **span)
-    elif "dyadic_level" in data:
-        level = _scalar(data["dyadic_level"], int, "flow.dyadic_level")
-        subdivision = Subdivision.dyadic(level, **span)
-    else:
-        subdivision = record_from_dict(Subdivision, {"times": data["times"]}, "flow")
-    rest = {k: v for k, v in data.items() if k not in ("horizon", *modes)}
-    return record_from_dict(FlowConfig, rest, "flow", subdivision=subdivision)
+    return cloud_to_varifold(load(data["file"]), d=d, k=k)
 
 
 def cmd_generate(args) -> int:
@@ -103,7 +83,7 @@ def cmd_evolve(args) -> int:
     from .flow import evolve, write_atoms_csv, write_diagnostics_csv, write_trajectory_json
 
     v0 = _varifold_from_input(config["input"])
-    flow_config = _flow_config_from_dict(config["flow"])
+    flow_config = flow_config_from_dict(config["flow"], "flow")
     traj = evolve(v0, flow_config)
 
     outputs = config["outputs"]
@@ -123,36 +103,24 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _load_varifold_file(path: str, d, neighbors: int):
-    from .ingest import cloud_to_varifold, load
-
-    cloud = load(path)
-    return cloud_to_varifold(cloud, d=d, k=neighbors)
-
-
 def cmd_distance(args) -> int:
+    from scipy.spatial import cKDTree
+
     from .flow import _to_json
+    from .ingest import cloud_to_varifold, load
     from .metric import bl_distance_detail
 
-    va = _load_varifold_file(args.file_a, args.d, args.neighbors)
-    vb = _load_varifold_file(args.file_b, args.d, args.neighbors)
-    if len(va) and len(vb):
-        import numpy as np
-
-        gap = float(
-            np.min(
-                np.linalg.norm(
-                    va.positions[:, None, :] - vb.positions[None, :, :], axis=2
-                )
-            )
+    va, vb = (
+        cloud_to_varifold(load(path), d=args.d, k=args.neighbors)
+        for path in (args.file_a, args.file_b)
+    )
+    detail = bl_distance_detail(va, vb)  # raises first when the ambient spaces differ
+    if len(va) and len(vb) and cKDTree(vb.positions).query(va.positions)[0].min() > 2.0:
+        print(
+            "warning: supports are more than 2 apart; the distance saturates near its cap there",
+            file=sys.stderr,
         )
-        if gap > 2.0:
-            print(
-                "warning: supports are more than 2 apart; the distance saturates "
-                "near its cap there",
-                file=sys.stderr,
-            )
-    print(_to_json(bl_distance_detail(va, vb)))
+    print(_to_json(detail))
     return EXIT_OK
 
 
@@ -190,23 +158,19 @@ def cmd_refine_study(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
-    if not 0.0 < args.eps < 1.0:
-        return _fail(f"eps must lie in (0, 1), got {args.eps}")
-    if args.n < 1:
-        return _fail(f"dimension must be >= 1, got {args.n}")
-
     import numpy as np
 
     from .flow import _to_json
     from .kernel import Kernel, kernel_bound_check
 
+    kernel = Kernel.create(args.n, args.eps)
     rng = np.random.default_rng(args.seed)
     # uniform samples in the unit ball, where the bounds are nontrivial
     raw = rng.standard_normal((args.samples, args.n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     radii = rng.random(args.samples) ** (1.0 / args.n)
     samples = raw * radii[:, None]
-    report = kernel_bound_check(Kernel.create(args.n, args.eps), samples)
+    report = kernel_bound_check(kernel, samples)
     print(_to_json(report))
     return EXIT_OK if report["ok"] else EXIT_CERTIFICATE_ABORT
 

@@ -174,9 +174,6 @@ class Trajectory:
     fields: list[CurvatureField | None]
     failure: FailureRecord | None = None
 
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
     @property
     def kernel(self) -> Kernel:
         return Kernel.create(self.snapshots[0].n, self.config.eps)
@@ -245,7 +242,7 @@ def _apply_field(
         mass_before=mass_before,
         mass_after=mass_after,
         dissipation=f.dissipation,
-        velocity_first_variation=first_variation(v, f.velocities, f.differentials),
+        velocity_first_variation=first_variation(v, f.differentials),
         certificate=tau * f.sup_differential,
         safety=safety,
         jacobian_min=float(ratios.min()) if len(v) else 1.0,
@@ -348,9 +345,6 @@ class ConstantTest:
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         return np.zeros_like(x)
 
-    def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros(x.shape[0])
-
 
 class GaussianBump:
     """phi(x, t) = amplitude * exp(-|x - center - t * velocity|^2 / 2 width^2)."""
@@ -372,11 +366,6 @@ class GaussianBump:
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         d = self._offset(x, t)
         return -(self.value(x, t) / self.width**2)[:, None] * d
-
-    def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
-        if self.velocity is None:
-            return np.zeros(x.shape[0])
-        return -np.einsum("ji,i->j", self.gradient(x, t), self.velocity)
 
 
 class PolynomialBump:
@@ -412,9 +401,6 @@ class PolynomialBump:
         with np.errstate(invalid="ignore", divide="ignore"):
             radial = np.where(r > 0.0, dp / (self.scale**2 * np.where(r > 0.0, r, 1.0)), 0.0)
         return p[:, None] * self.slope[None, :] + ((1.0 + d @ self.slope) * radial)[:, None] * d
-
-    def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros(x.shape[0])
 
 
 def brakke_residual(traj: Trajectory, phi, a: float, b: float) -> float:
@@ -621,12 +607,25 @@ def config_to_dict(config: FlowConfig) -> dict:
     return {("times" if k == "subdivision" else k): v for k, v in doc.items()}
 
 
-def config_from_dict(data: dict) -> FlowConfig:
-    """Inverse of ``config_to_dict``."""
-    rest = dict(_object(data, "config"))
-    times = {"times": rest.pop("times")} if "times" in rest else {}
-    subdivision = record_from_dict(Subdivision, times, "config")
-    return record_from_dict(FlowConfig, rest, "config", subdivision=subdivision)
+def flow_config_from_dict(data: dict, context: str) -> FlowConfig:
+    """Inverse of ``config_to_dict``.  Exactly one of ``steps``, ``dyadic_level``
+    or ``times`` makes the subdivision, ``horizon`` goes with the first two, and
+    the other keys are FlowConfig fields."""
+    modes = [k for k in ("steps", "dyadic_level", "times") if k in _object(data, context)]
+    if len(modes) != 1:
+        raise ConfigError(f"{context}: provide exactly one of 'steps', 'dyadic_level' or 'times'")
+    mode, span = modes[0], {}
+    if "horizon" in data:
+        if mode == "times":
+            raise ConfigError(f"{context}.horizon: not allowed with 'times', which set it")
+        span["horizon"] = _scalar(data["horizon"], float, f"{context}.horizon")
+    if mode == "times":
+        subdivision = record_from_dict(Subdivision, {"times": data["times"]}, context)
+    else:
+        make = Subdivision.uniform if mode == "steps" else Subdivision.dyadic
+        subdivision = make(_scalar(data[mode], int, f"{context}.{mode}"), **span)
+    rest = {k: v for k, v in data.items() if k not in ("horizon", mode)}
+    return record_from_dict(FlowConfig, rest, context, subdivision=subdivision)
 
 
 def varifold_to_dict(v: Varifold) -> dict:
@@ -644,11 +643,25 @@ def varifold_to_dict(v: Varifold) -> dict:
     }
 
 
+def _numbers(value, shape: tuple, where: str) -> None:
+    """Check that ``value`` is a JSON number, or lists of them nested to ``shape``."""
+    if not shape:
+        _scalar(value, float, where)
+    elif isinstance(value, list) and len(value) == shape[0]:
+        for item in value:
+            _numbers(item, shape[1:], where)
+    else:
+        raise ConfigError(f"{where}: expected a list of {shape[0]}, got {value!r}")
+
+
 def varifold_from_dict(data: dict, context: str) -> Varifold:
+    d, n = (_scalar(data[k], int, f"{context}.{k}") for k in ("d", "n"))
     atoms = data["atoms"]
     for j, a in enumerate(atoms):
-        _check_keys(a, f"{context}.atoms[{j}]", required=("x", "frame", "m"))
-    d, n = (_scalar(data[k], int, f"{context}.{k}") for k in ("d", "n"))
+        where = f"{context}.atoms[{j}]"
+        _check_keys(a, where, required=("x", "frame", "m"))
+        for key, shape in (("x", (n,)), ("frame", (d, n)), ("m", ())):
+            _numbers(a[key], shape, f"{where}.{key}")
     if not atoms:
         return Varifold.empty(d, n)
     return Varifold(
@@ -690,7 +703,7 @@ def read_trajectory_json(path) -> Trajectory:
         _check_keys(s, f"snapshots[{i}]", required=("t", "d", "n", "atoms"))
         snapshots.append(varifold_from_dict(s, f"snapshots[{i}]"))
     return Trajectory(
-        config=config_from_dict(doc["config"]),
+        config=flow_config_from_dict(doc["config"], "config"),
         times=[_scalar(s["t"], float, "snapshots.t") for s in doc["snapshots"]],
         snapshots=snapshots,
         diagnostics=[

@@ -161,22 +161,17 @@ def _load_json(path: Path) -> RawCloud:
     )
 
 
-def load(path, format: str | None = None) -> RawCloud:
-    """Read a raw cloud from a CSV or JSON file.
+def load(path) -> RawCloud:
+    """Read a raw cloud from a JSON file (suffix ``.json``) or else a CSV file.
 
-    The format is inferred from the suffix unless given.  Frames, when
-    present, are validated orthonormal (re-orthonormalized when off by at
-    most 1e-6, rejected beyond); parse failures name the offending row.
+    Frames, when present, are validated orthonormal (re-orthonormalized
+    when off by at most 1e-6, rejected beyond); parse failures name the
+    offending row.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"input file not found: {path}")
-    fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-    if fmt == "json":
-        return _load_json(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    raise LoadError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
+    return _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
 
 
 def save_varifold_json(v: Varifold, path) -> None:

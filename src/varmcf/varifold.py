@@ -175,14 +175,12 @@ def total_mass(v: Varifold) -> float:
     return v.mass()
 
 
-def first_variation(v: Varifold, x_values, x_jacobians) -> float:
+def first_variation(v: Varifold, x_jacobians) -> float:
     """Discrete first variation of v against a sampled vector field.
 
-    Only the Jacobian samples enter (``x_values`` is accepted for interface
-    symmetry with the weighted variant): the value is
+    Only the field's Jacobian samples enter: the value is
     ``sum_j m_j tr(P_j DX(x_j))``.
     """
-    del x_values
     jac = np.asarray(x_jacobians, dtype=float)
     _check_samples(v, jac.shape[0], "first_variation")
     if len(v) == 0:

@@ -139,7 +139,7 @@ def test_criterion_02_dissipation_identity():
     rels, d_errs, speed_errs = [], [], []
     for spec, gate in ((QuadratureSpec(), 1e-2), (QuadratureSpec().refined(), 1e-3)):
         field = curvature_field(v, kernel, spec)
-        div = first_variation(v, field.velocities, field.differentials)
+        div = first_variation(v, field.differentials)
         d = dissipation(v, kernel, spec)
         rel = abs(div + d) / d
         rels.append(rel)

@@ -98,6 +98,14 @@ class TestEvolve:
                 {"input": {"file": "cloud.csv", "d": 1, "neighbors": 8.7}},
                 "input.neighbors: expected int, got 8.7",
             ),
+            (
+                {"flow": {"eps": 0.1, "horizon": 0.5, "times": [0, 0.001, 0.002]}},
+                "flow.horizon: not allowed with 'times', which set it",
+            ),
+            (
+                {"input": {"file": "cloud.csv", "format": "csv", "d": 1}},
+                "input: unknown keys ['format']",
+            ),
         ],
         ids=[
             "seed",
@@ -106,6 +114,8 @@ class TestEvolve:
             "neighbors-null",
             "d-string",
             "neighbors-float",
+            "horizon-with-times",
+            "input-format",
         ],
     )
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, overrides, message):
@@ -165,8 +175,9 @@ class TestGenerateAndDistance:
             }
             (tmp_path / name).write_text(json.dumps(doc))
         assert main(["distance", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["distance"] == pytest.approx(min(2.0, gap), abs=1e-9)
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["distance"] == pytest.approx(min(2.0, gap), abs=1e-9)
+        assert "warning" not in captured.err
 
     def test_dimension_mismatch_exits_1(self, tmp_path, capsys):
         doc2 = {"d": 1, "n": 2, "atoms": [{"x": [0.0, 0.0], "frame": [[1.0, 0.0]], "m": 1.0}]}
@@ -254,6 +265,8 @@ class TestKernelCheck:
 
     def test_invalid_eps_exits_1(self, capsys):
         assert main(["kernel-check", "--n", "2", "--eps", "1.0"]) == 1
+        assert "error: eps must lie in (0, 1), got 1.0" in capsys.readouterr().err
+        assert main(["kernel-check", "--n", "0", "--eps", "0.3"]) == 1
 
 
 class TestDiagnose:

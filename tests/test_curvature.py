@@ -18,7 +18,7 @@ from varmcf.varifold import Atom, Varifold, first_variation
 
 
 def field_divergence(v, field):
-    return first_variation(v, field.velocities, field.differentials)
+    return first_variation(v, field.differentials)
 
 
 def circle(n_atoms, radius=1.0):

@@ -192,7 +192,7 @@ class TestEvolve:
 
 
 class TestSpaceFlows:
-    """Flows in R^3: a surface, and a curve of codimension 2."""
+    """Flows in R^3: a sphere, a torus and a curve of codimension 2."""
 
     def test_sphere_shrinks_inward_at_the_dissipation_rate(self):
         tau = 0.005
@@ -220,6 +220,26 @@ class TestSpaceFlows:
         shrinkage = 1.0 - np.linalg.norm(traj.snapshots[-1].positions, axis=1).mean()
         exact = 1.0 - np.sqrt(1.0 - 4.0 * steps * tau)
         assert abs(shrinkage - exact) <= 0.1 * exact
+
+    def test_torus_tube_shrinks_toward_its_core_circle(self):
+        def from_core(x):
+            # the default torus has its core circle of radius 1 in the plane z = 0
+            planar = x * np.array([1.0, 1.0, 0.0])
+            return x - planar / np.linalg.norm(planar, axis=1, keepdims=True)
+
+        tau = 0.001
+        config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(3, 3 * tau))
+        traj = evolve(generate(ShapeSpec("torus", samples=400)), config)
+        assert traj.failure is None
+        masses = traj.mass_history()
+        assert np.all(np.diff(masses) < 0.0)
+        for k, diag in enumerate(traj.diagnostics):
+            decay = tau * diag.dissipation
+            assert abs(masses[k + 1] - masses[k] + decay) / decay <= 5e-2
+        x, h = traj.snapshots[0].positions, traj.fields[0].velocities
+        assert np.all(np.einsum("ji,ji->j", h, from_core(x)) < 0.0)
+        tube = [np.linalg.norm(from_core(v.positions), axis=1).mean() for v in traj.snapshots]
+        assert np.all(np.diff(tube) < 0.0)
 
     def test_circle_in_space_stays_in_its_plane(self):
         count = 200
@@ -504,6 +524,14 @@ class TestSerialization:
                 lambda doc: doc["snapshots"][1].update(d=None),
                 "snapshots[1].d: expected int, got None",
             ),
+            (
+                lambda doc: doc["snapshots"][1]["atoms"][3].update(m="x"),
+                "snapshots[1].atoms[3].m: expected float, got 'x'",
+            ),
+            (
+                lambda doc: doc["snapshots"][1]["atoms"][3].update(x=[1.0]),
+                "snapshots[1].atoms[3].x: expected a list of 2, got [1.0]",
+            ),
         ],
         ids=[
             "row-without-gate",
@@ -512,6 +540,8 @@ class TestSerialization:
             "config-without-eps",
             "atom-without-m",
             "snapshot-d-null",
+            "atom-m-string",
+            "atom-x-short",
         ],
     )
     def test_malformed_record_exits_1_naming_the_key(self, tmp_path, capsys, traj, edit, message):

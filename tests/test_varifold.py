@@ -72,23 +72,23 @@ class TestFirstVariation:
     def test_constant_field_vanishes(self):
         v = random_cloud(np.random.default_rng(0), 10)
         zeros = np.zeros((10, 2, 2))
-        assert first_variation(v, None, zeros) == 0.0
+        assert first_variation(v, zeros) == 0.0
 
     def test_identity_jacobian_gives_mass_times_d(self):
         v = single_atom(mass=0.7)
-        val = first_variation(v, None, np.eye(2)[None])
+        val = first_variation(v, np.eye(2)[None])
         assert val == pytest.approx(0.7 * 1.0)
 
     def test_shear_with_zero_tangential_trace(self):
         # plane along e1; DX = e1 x e2 + e2 x e1 has no diagonal part on it
         v = single_atom(angle=0.0)
         dx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert first_variation(v, None, dx[None]) == pytest.approx(0.0, abs=1e-15)
+        assert first_variation(v, dx[None]) == pytest.approx(0.0, abs=1e-15)
 
     def test_length_mismatch(self):
         v = random_cloud(np.random.default_rng(1), 4)
         with pytest.raises(DimensionMismatch):
-            first_variation(v, None, np.zeros((3, 2, 2)))
+            first_variation(v, np.zeros((3, 2, 2)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -97,8 +97,8 @@ class TestFirstVariation:
         v = random_cloud(rng, 6)
         ja = rng.standard_normal((6, 2, 2))
         jb = rng.standard_normal((6, 2, 2))
-        lhs = first_variation(v, None, alpha * ja + beta * jb)
-        rhs = alpha * first_variation(v, None, ja) + beta * first_variation(v, None, jb)
+        lhs = first_variation(v, alpha * ja + beta * jb)
+        rhs = alpha * first_variation(v, ja) + beta * first_variation(v, jb)
         assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(alpha) + abs(beta)))
 
     def test_linear_in_masses(self):
@@ -106,8 +106,8 @@ class TestFirstVariation:
         v = random_cloud(rng, 6)
         jac = rng.standard_normal((6, 2, 2))
         doubled = Varifold(v.d, v.n, v.positions, v.frames, 2.0 * v.masses)
-        assert first_variation(doubled, None, jac) == pytest.approx(
-            2.0 * first_variation(v, None, jac), rel=1e-12
+        assert first_variation(doubled, jac) == pytest.approx(
+            2.0 * first_variation(v, jac), rel=1e-12
         )
 
 
@@ -120,7 +120,7 @@ class TestWeightedFirstVariation:
         weighted = weighted_first_variation(
             v, np.ones(8), np.zeros((8, 2)), values, jac
         )
-        assert weighted == pytest.approx(first_variation(v, values, jac), rel=1e-12)
+        assert weighted == pytest.approx(first_variation(v, jac), rel=1e-12)
 
     def test_zero_field(self):
         v = random_cloud(np.random.default_rng(6), 8)
@@ -201,7 +201,7 @@ class TestPushForward:
         diffs = rng.standard_normal((25, 2, 2))
         diffs /= np.max(np.linalg.norm(diffs, ord=2, axis=(1, 2)))
         f = SampledMap(values, diffs)
-        dv = first_variation(v, values, diffs)
+        dv = first_variation(v, diffs)
         taus = np.array([0.1, 0.05, 0.025, 0.0125])
         errs = []
         for tau in taus:

@@ -134,6 +134,10 @@ def _load_csv(path: Path) -> RawCloud:
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_json(path: Path) -> RawCloud:
     with open(path) as fh:
         try:
@@ -144,16 +148,29 @@ def _load_json(path: Path) -> RawCloud:
     if atoms is None:
         raise LoadError(f"{path}: missing 'atoms' field")
     points, frames, masses = [], [], []
-    has_frames = atoms and "frame" in atoms[0]
+    # atom 0 decides whether every atom carries a frame and a mass
+    optional = {key: bool(atoms) and key in atoms[0] for key in ("frame", "m")}
     for i, atom in enumerate(atoms):
+        where = f"{path}: atom {i}"
         try:
-            points.append([float(c) for c in atom["x"]])
-            if has_frames:
+            for key, first in optional.items():
+                if (key in atom) != first:
+                    state = "missing, but atom 0 has one" if first else "present, but atom 0 has none"
+                    raise LoadError(f"{where}: {key}: {state}")
+            x = atom["x"]
+            if not (isinstance(x, list) and all(map(_is_number, x))):
+                raise LoadError(f"{where}: x: expected a list of numbers, got {x!r}")
+            if points and len(x) != len(points[0]):
+                raise LoadError(f"{where}: x: expected {len(points[0])} coordinates as on atom 0, got {len(x)}")
+            points.append([float(c) for c in x])
+            if optional["frame"]:
                 frames.append(_reorthonormalize(np.asarray(atom["frame"], dtype=float), i))
-            if "m" in atom:
+            if optional["m"]:
+                if not _is_number(atom["m"]):
+                    raise LoadError(f"{where}: m: expected a number, got {atom['m']!r}")
                 masses.append(float(atom["m"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(f"{path}: atom {i}: {exc}") from None
+            raise LoadError(f"{where}: {exc}") from None
     return RawCloud(
         np.array(points, dtype=float).reshape(len(atoms), -1),
         np.array(frames) if frames else None,

@@ -69,6 +69,29 @@ class TestLoad:
         gram = cloud.frames[0] @ cloud.frames[0].T
         assert np.abs(gram - np.eye(1)).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            # a string is not a list of coordinates, even one that reads like digits
+            ([{"x": [0.0, 0.0]}, {"x": "12"}], "atom 1: x: expected a list of numbers, got '12'"),
+            # frames are read from every atom, not only when atom 0 carries one
+            (
+                [{"x": [0.0, 0.0]}, {"x": [1.0, 0.0], "frame": [[1.0, 0.0]]}],
+                "atom 1: frame: present, but atom 0 has none",
+            ),
+            ([{"x": [0.0, 0.0], "m": 1.0}, {"x": [1.0, 0.0]}], "atom 1: m: missing, but atom 0 has one"),
+            ([{"x": [0.0, 0.0]}, {"x": [1.0, 0.0, 2.0]}], "atom 1: x: expected 2 coordinates as on atom 0, got 3"),
+            ([{"x": [0.0, 0.0], "m": "0.5"}], "atom 0: m: expected a number, got '0.5'"),
+        ],
+        ids=["x-string", "frame-after-atom-0", "m-on-some-atoms", "x-ragged", "m-string"],
+    )
+    def test_malformed_json_atom_names_file_atom_and_key(self, tmp_path, atoms, message):
+        path = tmp_path / "cloud.json"
+        path.write_text(json.dumps({"atoms": atoms}))
+        with pytest.raises(LoadError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_badly_off_frames_are_rejected(self, tmp_path):
         doc = {"d": 1, "n": 2, "atoms": [{"x": [0.0, 0.0], "frame": [[1.0, 0.1]], "m": 1.0}]}
         path = tmp_path / "bad.json"

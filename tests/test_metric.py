@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from varmcf.errors import DimensionMismatch
 from varmcf.geometry import Plane
 from varmcf.ingest import ShapeSpec, generate
 from varmcf.metric import (
+    _solve_support_lp,
     bl_distance_detail,
     bounded_lipschitz_distance,
     bounded_lipschitz_lower_bound,
@@ -330,12 +331,128 @@ class TestLowerBound:
             assert bounded_lipschitz_lower_bound(v, w, witness) <= d + 1e-9
 
 
+def assert_certified(v, w):
+    """Check the bracket of ``bl_distance_detail`` and the test function behind it.
+
+    The lower end must be ``w . phi`` for the returned ``phi``, and ``phi``
+    must pass the feasibility checks of ``bounded_lipschitz_lower_bound``.
+    """
+    detail = bl_distance_detail(v, w)
+    lower, upper = detail["bracket"]
+    assert lower - 1e-12 <= detail["distance"] <= upper
+    assert upper - lower <= 1e-9
+    problem = build_support_problem(v, w)
+    _, phi, _ = _solve_support_lp(problem)
+    assert float(np.dot(problem.weights, phi)) == lower
+
+    def witness(x, plane):
+        # support nodes are unique in (position, frame) after merging
+        at = (problem.positions == x).all(axis=1) & (problem.frames == plane.frame).all(axis=(1, 2))
+        return phi[np.flatnonzero(at)[0]]
+
+    assert bounded_lipschitz_lower_bound(v, w, witness) == pytest.approx(abs(lower), abs=1e-12)
+    return detail
+
+
 class TestDetail:
     def test_detail_fields(self):
         rng = np.random.default_rng(11)
         v, w = random_varifold(rng, 5), random_varifold(rng, 5)
         detail = bl_distance_detail(v, w)
-        assert set(detail) == {"distance", "support_size", "iterations"}
+        assert set(detail) == {"distance", "support_size", "iterations", "bracket"}
         assert detail["support_size"] == 10
         assert detail["iterations"] >= 1
         assert detail["distance"] == pytest.approx(bounded_lipschitz_distance(v, w), abs=1e-10)
+        assert_certified(v, w)
+
+
+def dense_dual_lp(problem):
+    """The distance as one dense LP: maximize w . phi over the box [-1, 1]
+    and all K(K-1)/2 pairs of Lipschitz rows, with no column generation."""
+    k = problem.size
+    assert 0 < k <= 120
+    iu, ju = np.triu_indices(k, 1)
+    pair = np.arange(iu.size)
+    a_ub = np.zeros((2 * iu.size, k))
+    a_ub[2 * pair, iu], a_ub[2 * pair, ju] = 1.0, -1.0
+    a_ub[2 * pair + 1, iu], a_ub[2 * pair + 1, ju] = -1.0, 1.0
+    b_ub = np.repeat(problem.distances[iu, ju], 2)
+    res = linprog(-problem.weights, A_ub=a_ub, b_ub=b_ub, bounds=[(-1.0, 1.0)] * k, method="highs")
+    assert res.success
+    return float(-res.fun)
+
+
+class TestTransportAgainstDenseReference:
+    """The column-generated transport against the dense dual LP, to 1e-9."""
+
+    def check(self, v, w):
+        detail = assert_certified(v, w)
+        reference = dense_dual_lp(build_support_problem(v, w))
+        assert detail["distance"] == pytest.approx(reference, abs=1e-9)
+        return detail
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_criterion_08_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(random_varifold(rng, 10, mass=0.1), random_varifold(rng, 10, mass=0.1))
+
+    def test_equal_mass_pairs_exercise_pricing(self):
+        rounds = []
+        for count in (30, 60):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                v = random_varifold(rng, count, mass=1.0 / count, spread=0.5)
+                w = random_varifold(rng, count, mass=1.0 / count, spread=0.5)
+                rounds.append(self.check(v, w)["iterations"])
+        assert max(rounds) >= 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unequal_masses(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        self.check(random_varifold(rng, 40, spread=0.5), random_varifold(rng, 25, spread=0.5))
+
+    def test_planted_merges_leave_zero_weight_nodes(self):
+        rng = np.random.default_rng(30)
+        v = random_varifold(rng, 30, spread=0.5)
+        extra = random_varifold(rng, 20, spread=0.5)
+        # atoms 0-9 of V reappear in W with their own mass, atoms 10-14 with less
+        masses = np.concatenate([v.masses[:10], 0.5 * v.masses[10:15], extra.masses])
+        w = Varifold(
+            1,
+            2,
+            np.concatenate([v.positions[:15], extra.positions]),
+            np.concatenate([v.frames[:15], extra.frames]),
+            masses,
+        )
+        problem = build_support_problem(v, w)
+        assert np.count_nonzero(problem.weights == 0.0) == 10
+        self.check(v, w)
+
+    def test_empty_w(self):
+        v = random_varifold(np.random.default_rng(40), 12)
+        detail = self.check(v, Varifold.empty(1, 2))
+        assert detail["distance"] == pytest.approx(v.mass(), abs=1e-12)
+
+    def test_near_coincident_states_keep_small_imbalances(self):
+        # W is V translated by delta with every mass scaled by 1 - eta; for a
+        # shift below half the atom spacing the value is N (m eta + m' delta):
+        # phi = 1 on V and 1 - delta on W attains it.  Each node's imbalance
+        # m eta is 5e-8 of the largest supply, under the default 1e-7 feasibility
+        # tolerance of HiGHS.
+        v = generate(ShapeSpec("circle", samples=100))
+        delta, eta = 4e-7, 5e-8
+        m = v.masses[0]
+        w = Varifold(1, 2, v.positions + [delta, 0.0], v.frames, v.masses * (1.0 - eta))
+        expected = 100 * (m * eta + m * (1.0 - eta) * delta)
+        detail = assert_certified(v, w)
+        assert detail["distance"] == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert detail["bracket"][0] == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_supports_more_than_two_apart_need_no_column(self):
+        rng = np.random.default_rng(50)
+        v = random_varifold(rng, 15, spread=0.3)
+        far = random_varifold(rng, 10, spread=0.3)
+        w = Varifold(1, 2, far.positions + [10.0, 0.0], far.frames, far.masses)
+        detail = self.check(v, w)
+        assert detail["iterations"] == 1
+        assert detail["distance"] == pytest.approx(v.mass() + w.mass(), abs=1e-12)

@@ -1,9 +1,9 @@
 """Regularized mean curvature flow engine for point-cloud varifolds."""
 
-from .curvature import CurvatureField, QuadratureSpec, curvature_field, dissipation
 from .geometry import Plane, plane_distance
-from .kernel import Kernel
 from .varifold import Atom, SampledMap, Varifold, push_forward, total_mass
+from .kernel import Kernel
+from .curvature import CurvatureField, QuadratureSpec, curvature_field, dissipation
 
 __all__ = [
     "Atom",

@@ -7,17 +7,25 @@ and the first variation of the varifold into a pointwise field
 
 which is then convolved once more with the kernel to produce the per-atom
 velocity and its spatial differential.  Both convolutions and the
-dissipation integral run over one list of (lattice cell, atom) pairs
-within ``r = min(1, factor * eps)`` of each other, on a uniform lattice
-centred on the atoms' bounding box; the kernel is evaluated once per
-pair.  Cell sums give the smoothed fields, atom sums the velocities and
-differentials, and the cells the dissipation, so the discrete identity
+dissipation integral run over the (lattice cell, atom) pairs within
+``r = min(1, factor * eps)`` of each other, on a uniform lattice centred
+on the atoms' bounding box.
+
+Each atom reaches its cells through one integer stencil, the offsets
+``o`` with ``|o| <= r / h + sqrt(n) / 2`` from its nearest cell, so the
+candidate pairs form dense (atom, offset) blocks; candidates beyond r
+weigh zero.  The kernel is evaluated once per candidate.  A first pass
+adds the smoothed mass and first variation into the lattice, one
+``bincount`` per component; a second gathers the raw field back and
+forms each atom's velocity and differential as one small matrix
+product.  The cells give the dissipation, so the discrete identity
 ``sum_j m_j tr(P_j Dh_j) = -dissipation`` holds up to rounding.
 
 The inner sums are cut at r, where the Gaussian factor of the kernel is
 below 4e-6 of its peak; the point evaluators (`smoothed_mass`,
 `smoothed_first_variation`, `raw_curvature`) sum over every atom.  All
-sums run in a fixed order, so results are deterministic.
+sums run in a fixed order whatever the thread count, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import QuadratureBudgetExceeded
 from .kernel import Kernel
@@ -44,8 +51,8 @@ __all__ = [
     "dissipation",
 ]
 
-# Pairs evaluated per batch; bounds the per-pair temporaries.
-PAIR_CHUNK = 4096
+# Stencil candidates evaluated per atom block; bounds the per-block temporaries.
+BLOCK_CANDIDATES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -155,20 +162,73 @@ def raw_curvature(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
     return -var[0] / (mass[0] + kernel.eps)
 
 
-def cell_pairs(v: Varifold, eps: float, spec: QuadratureSpec) -> CellPairs:
-    """Lattice cells and atoms within ``r = spec.radius(eps)`` of each other.
+@dataclass(frozen=True)
+class _Stencil:
+    """The lattice of the sums and every atom's candidate cells on it.
 
-    Cell centres sit at ``mid + (k - (K - 1) / 2) h`` per axis, with mid the
-    midpoint of the r-fattened bounding box of the atoms and K cells per
-    axis covering it.  Raises QuadratureBudgetExceeded when the lattice
-    over the box, or the pair list, exceeds ``spec.max_nodes``.
+    Cell ``k`` (a multi-index with ``0 <= k < shape``) sits at
+    ``mid + (k - (shape - 1) / 2) h`` and has the C-order linear id
+    ``k . strides``.  Atom j's candidates are the cells ``base_j + o`` over
+    the integer offsets ``|o| <= r / h + sqrt(n) / 2``: every cell within r
+    of the atom is one, because ``delta_j``, the atom minus the centre of
+    its nearest cell, is at most ``h sqrt(n) / 2`` long.
+    """
+
+    shape: tuple
+    mid: np.ndarray  # (n,)
+    h: float
+    radius: float
+    max_nodes: int
+    steps: np.ndarray  # (n, S) the offsets times h
+    shifts: np.ndarray  # (S,) linear id of each offset
+    base: np.ndarray  # (N,) linear id of each atom's nearest cell
+    delta: np.ndarray  # (N, n)
+
+    @property
+    def cells(self) -> int:
+        return math.prod(self.shape)
+
+    def centres(self, ids: np.ndarray) -> np.ndarray:
+        """Coordinates of the cells with the given linear ids."""
+        k = np.stack(np.unravel_index(ids, self.shape), axis=1)
+        return self.mid + (k - 0.5 * (np.array(self.shape) - 1)) * self.h
+
+    def blocks(self):
+        """Candidate pairs in atom blocks of about ``BLOCK_CANDIDATES``.
+
+        Yields ``(atoms, diff, r2, ids, inside)``: the block's atom indices,
+        ``diff[b, :, s] = x_j - z`` for atom ``j = atoms[b]`` and its
+        candidate cell z, the squared lengths of these differences, the
+        cells' linear ids and whether each lies within r of its atom.
+        Blocks take the atoms in the lattice order of their nearest cells,
+        so a block's cells lie close together.  The id of a candidate off
+        the lattice wraps into another row or is clipped to the lattice,
+        but such a cell is more than ``r + h / 2`` from the atom.  Raises
+        QuadratureBudgetExceeded once the pairs within r exceed ``max_nodes``.
+        """
+        per_block = max(1, BLOCK_CANDIDATES // self.shifts.size)
+        order = np.argsort(self.base, kind="stable")
+        pairs = 0
+        for lo in range(0, order.size, per_block):
+            atoms = order[lo:lo + per_block]
+            diff = self.delta[atoms, :, None] - self.steps
+            r2 = np.einsum("bis,bis->bs", diff, diff)
+            inside = r2 <= self.radius**2
+            pairs += int(np.count_nonzero(inside))
+            if pairs > self.max_nodes:
+                raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {self.max_nodes}")
+            ids = np.clip(self.base[atoms, None] + self.shifts, 0, self.cells - 1)
+            yield atoms, diff, r2, ids, inside
+
+
+def _stencil(v: Varifold, eps: float, spec: QuadratureSpec) -> _Stencil:
+    """The lattice over the r-fattened bounding box and the atoms' stencil on it.
+
+    Raises QuadratureBudgetExceeded when the lattice exceeds ``spec.max_nodes``.
     """
     n = v.n
     radius = spec.radius(eps)
     h = 2.0 * radius / spec.points_per_axis
-    if len(v) == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return CellPairs(np.zeros((0, n)), empty, empty, h**n)
     lo = v.positions.min(axis=0) - radius
     hi = v.positions.max(axis=0) + radius
     counts = np.ceil((hi - lo) / h).astype(int)
@@ -176,24 +236,48 @@ def cell_pairs(v: Varifold, eps: float, spec: QuadratureSpec) -> CellPairs:
     if total > spec.max_nodes:
         raise QuadratureBudgetExceeded(f"{total} lattice cells exceed budget {spec.max_nodes}")
     mid = 0.5 * (lo + hi)
-    axes = [mid[i] + (np.arange(counts[i]) - 0.5 * (counts[i] - 1)) * h for i in range(n)]
-    grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    half = 0.5 * (counts - 1)
+    nearest = np.rint((v.positions - mid) / h + half).astype(np.intp)
+    delta = v.positions - (mid + (nearest - half) * h)
 
-    atoms = cKDTree(v.positions)
-    dist, _ = atoms.query(grid, k=1, distance_upper_bound=radius)
-    centres = grid[dist <= radius]
-    pairs = cKDTree(centres).sparse_distance_matrix(atoms, radius, output_type="ndarray")
-    if pairs.size > spec.max_nodes:
-        raise QuadratureBudgetExceeded(f"{pairs.size} pairs exceed budget {spec.max_nodes}")
-    return CellPairs(centres, pairs["i"].astype(np.intp), pairs["j"].astype(np.intp), h**n)
+    reach = radius / h + 0.5 * math.sqrt(n)
+    width = math.floor(reach)
+    offsets = np.indices((2 * width + 1,) * n).reshape(n, -1).T - width
+    offsets = offsets[np.einsum("si,si->s", offsets, offsets) <= reach * reach]
+    strides = np.array([math.prod(counts[i + 1:].tolist()) for i in range(n)], dtype=np.intp)
+    return _Stencil(
+        shape=tuple(counts.tolist()),
+        mid=mid,
+        h=h,
+        radius=radius,
+        max_nodes=spec.max_nodes,
+        steps=h * offsets.T,
+        shifts=offsets @ strides,
+        base=nearest @ strides,
+        delta=delta,
+    )
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sums of the rows ``values[p]`` grouped by ``index[p]`` into ``size`` bins."""
-    width = values[0].size
-    flat = (index[:, None] * width + np.arange(width)).reshape(-1)
-    sums = np.bincount(flat, values.reshape(-1), minlength=size * width)
-    return sums.reshape((size,) + values.shape[1:])
+def cell_pairs(v: Varifold, eps: float, spec: QuadratureSpec) -> CellPairs:
+    """Lattice cells and atoms within ``r = spec.radius(eps)`` of each other.
+
+    Cell centres sit at ``mid + (k - (K - 1) / 2) h`` per axis, with mid the
+    midpoint of the r-fattened bounding box of the atoms and K cells per
+    axis covering it.  ``centres`` lists the cells that pair with an atom in
+    lattice order.  Raises QuadratureBudgetExceeded when the lattice over
+    the box, or the pair list, exceeds ``spec.max_nodes``.
+    """
+    if len(v) == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        h = 2.0 * spec.radius(eps) / spec.points_per_axis
+        return CellPairs(np.zeros((0, v.n)), empty, empty, h**v.n)
+    stencil = _stencil(v, eps, spec)
+    ids, atoms = [], []
+    for block, _, _, cell, inside in stencil.blocks():
+        ids.append(cell[inside])
+        atoms.append(block[np.nonzero(inside)[0]])
+    used, cell = np.unique(np.concatenate(ids), return_inverse=True)
+    return CellPairs(stencil.centres(used), cell.reshape(-1), np.concatenate(atoms), stencil.h**v.n)
 
 
 def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> CurvatureField:
@@ -212,37 +296,49 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     derivative of component a in direction b.
     """
     n, count = v.n, len(v)
-    pairs = cell_pairs(v, kernel.eps, spec)
-    cells, total = pairs.centres.shape[0], pairs.cell.size
-    val, slope = np.empty(total), np.empty(total)
-    chunks = [slice(lo, lo + PAIR_CHUNK) for lo in range(0, total, PAIR_CHUNK)]
+    if count == 0:
+        return CurvatureField(np.zeros((0, n)), np.zeros((0, n, n)), 0.0)
+    stencil = _stencil(v, kernel.eps, spec)
+    cells, volume = stencil.cells, stencil.h**n
+    projectors = np.einsum("jdi,jdk->jik", v.frames, v.frames)
 
-    # Cell sums; grad-Phi(x - z) = s(|x - z|) (x - z).
+    def candidates():
+        """The blocks of `_Stencil.blocks` with the kernel value and slope of
+        each candidate, zero beyond r; grad-Phi(x - z) = slope (x - z)."""
+        for atoms, diff, r2, ids, inside in stencil.blocks():
+            val, slope = kernel._value_and_grad_scalar(r2)
+            outside = ~inside
+            val[outside] = 0.0
+            slope[outside] = 0.0
+            yield atoms, diff, ids, val, slope
+
+    # Cell sums over the lattice, each block adding into the span of its cells.
     mass = np.zeros(cells)
-    var = np.zeros((cells, n))
-    for sl in chunks:
-        c, a = pairs.cell[sl], pairs.atom[sl]
-        diff = np.take(v.positions, a, axis=0) - np.take(pairs.centres, c, axis=0)
-        val[sl], slope[sl] = kernel._value_and_grad_scalar(np.einsum("pi,pi->p", diff, diff))
-        frames = np.take(v.frames, a, axis=0)
-        tangent = np.einsum("pdi,pd->pi", frames, np.einsum("pdk,pk->pd", frames, diff))
-        mass += np.bincount(c, v.masses[a] * val[sl], minlength=cells)
-        var += _scatter(c, (v.masses[a] * slope[sl])[:, None] * tangent, cells)
+    var = np.zeros((n, cells))
+    for atoms, diff, ids, val, slope in candidates():
+        first = int(ids.min())
+        local = (ids - first).reshape(-1)
+        span = slice(first, first + int(local.max()) + 1)
+        masses = v.masses[atoms, None]
+        mass[span] += np.bincount(local, (masses * val).reshape(-1))
+        weighted = (masses * slope)[:, None, :] * (projectors[atoms] @ diff)
+        for i in range(n):
+            var[i, span] += np.bincount(local, weighted[:, i].reshape(-1))
     denom = mass + kernel.eps
-    raw = -var / denom[:, None]
+    raw = np.ascontiguousarray((-var / denom).T)
 
-    # Atom sums over the same pairs.
-    velocities = np.zeros((count, n))
-    differentials = np.zeros((count, n, n))
-    for sl in chunks:
-        c, a = pairs.cell[sl], pairs.atom[sl]
-        diff = np.take(v.positions, a, axis=0) - np.take(pairs.centres, c, axis=0)
-        grad = slope[sl][:, None] * diff
-        raw_c = np.take(raw, c, axis=0)
-        velocities += _scatter(a, val[sl][:, None] * raw_c, count)
-        differentials += _scatter(a, raw_c[:, :, None] * grad[:, None, :], count)
-    rate = float(np.sum(np.einsum("ci,ci->c", var, var) / denom)) * pairs.volume
-    return CurvatureField(velocities * pairs.volume, differentials * pairs.volume, rate)
+    # Atom sums over the same candidates, evaluated again rather than kept
+    # so that memory stays one block's worth: per atom, the product
+    # [val; slope diff] raw holds h_j in its first row and Dh_j^T below it.
+    sampled = np.empty((count, 1 + n, n))
+    for atoms, diff, ids, val, slope in candidates():
+        weights = np.empty((val.shape[0], 1 + n, val.shape[1]))
+        weights[:, 0] = val
+        np.multiply(slope[:, None, :], diff, out=weights[:, 1:])
+        sampled[atoms] = weights @ np.take(raw, ids, axis=0)
+    sampled *= volume
+    rate = float(np.sum(np.einsum("ic,ic->c", var, var) / denom)) * volume
+    return CurvatureField(sampled[:, 0], sampled[:, 1:].transpose(0, 2, 1), rate)
 
 
 def dissipation(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> float:

@@ -391,13 +391,13 @@ class PolynomialBump:
     def value(self, x: np.ndarray, t: float) -> np.ndarray:
         d = x - self.center
         r = np.linalg.norm(d, axis=1) / self.scale
-        p, _, _ = self._cutoff(r)
+        p, _ = self._cutoff.profile(r)
         return (1.0 + d @ self.slope) * p
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         d = x - self.center
         r = np.linalg.norm(d, axis=1) / self.scale
-        p, dp, _ = self._cutoff(r)
+        p, dp = self._cutoff.profile(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             radial = np.where(r > 0.0, dp / (self.scale**2 * np.where(r > 0.0, r, 1.0)), 0.0)
         return p[:, None] * self.slope[None, :] + ((1.0 + d @ self.slope) * radial)[:, None] * d
@@ -518,8 +518,31 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _atoms_json(v: Varifold, indent: int) -> str:
+    """The atoms of v laid out as `_to_json` lays out a list of atom records,
+    each formatted from one template."""
+    if len(v) == 0:
+        return "[]"
+    num = "{:.17g}"
+    row = "[" + ", ".join([num] * v.n) + "]"
+    pad, inner = " " * (indent + 2), " " * (indent + 4)
+    template = (
+        pad + "{{\n"
+        + inner + '"x": ' + row + ",\n"
+        + inner + '"frame": [\n' + ",\n".join([inner + "  " + row] * v.d) + "\n" + inner + "],\n"
+        + inner + '"m": ' + num + "\n"
+        + pad + "}}"
+    )
+    # adding 0.0 turns -0.0 into 0.0, as `_fmt` does
+    values = np.concatenate([v.positions, v.frames.reshape(len(v), -1), v.masses[:, None]], axis=1)
+    atoms = ",\n".join(template.format(*atom) for atom in (values + 0.0).tolist())
+    return "[\n" + atoms + "\n" + " " * indent + "]"
+
+
 def _to_json(obj, indent: int = 0) -> str:
     pad = " " * indent
+    if isinstance(obj, Varifold):
+        return _atoms_json(obj, indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -629,18 +652,9 @@ def flow_config_from_dict(data: dict, context: str) -> FlowConfig:
 
 
 def varifold_to_dict(v: Varifold) -> dict:
-    return {
-        "d": v.d,
-        "n": v.n,
-        "atoms": [
-            {
-                "x": x,
-                "frame": frame,
-                "m": m,
-            }
-            for x, frame, m in zip(v.positions.tolist(), v.frames.tolist(), v.masses.tolist())
-        ],
-    }
+    """The varifold record for `_to_json`, which writes ``atoms`` (v itself)
+    as a list of ``{"x", "frame", "m"}`` records."""
+    return {"d": v.d, "n": v.n, "atoms": v}
 
 
 def _numbers(value, shape: tuple, where: str) -> None:

@@ -76,12 +76,13 @@ class RawCloud:
         return self.points.shape[0]
 
 
-def _reorthonormalize(frame: np.ndarray, row: int) -> np.ndarray:
+def _reorthonormalize(frame: np.ndarray, where: str) -> np.ndarray:
     """Snap a nearly orthonormal frame back to the manifold (polar factor).
 
     The deviation is the largest singular-value offset from 1, i.e. the
     operator distance to the closest orthonormal frame; up to 1e-6 it is
-    corrected, beyond that the row is rejected.
+    corrected, beyond that the frame is rejected with an error that
+    starts with ``where`` (the file and the row or atom).
     """
     gram = frame @ frame.T
     if float(np.abs(gram - np.eye(frame.shape[0])).max()) <= 1e-12:
@@ -89,7 +90,7 @@ def _reorthonormalize(frame: np.ndarray, row: int) -> np.ndarray:
     u, s, vt = np.linalg.svd(frame, full_matrices=False)
     dev = float(np.abs(s - 1.0).max())
     if dev > 1e-6:
-        raise LoadError(f"row {row}: frame is not orthonormal (deviation {dev:.3e} > 1e-6)")
+        raise LoadError(f"{where}: frame is not orthonormal (deviation {dev:.3e} > 1e-6)")
     return u @ vt
 
 
@@ -122,7 +123,7 @@ def _load_csv(path: Path) -> RawCloud:
                     frame = np.zeros((d, n))
                     for i, h in tcols:
                         frame[int(h[1]) - 1, int(h[2]) - 1] = float(row[i])
-                    frames.append(_reorthonormalize(frame, rownum))
+                    frames.append(_reorthonormalize(frame, f"{path}: row {rownum}"))
                 if mcol:
                     masses.append(float(row[mcol[0]]))
             except (ValueError, IndexError) as exc:
@@ -164,7 +165,7 @@ def _load_json(path: Path) -> RawCloud:
                 raise LoadError(f"{where}: x: expected {len(points[0])} coordinates as on atom 0, got {len(x)}")
             points.append([float(c) for c in x])
             if optional["frame"]:
-                frames.append(_reorthonormalize(np.asarray(atom["frame"], dtype=float), i))
+                frames.append(_reorthonormalize(np.asarray(atom["frame"], dtype=float), where))
             if optional["m"]:
                 if not _is_number(atom["m"]):
                     raise LoadError(f"{where}: m: expected a number, got {atom['m']!r}")

@@ -58,22 +58,29 @@ class CubicCutoff:
     hessian_bound = 24.0  # max over r of max(|p''|, |p'| / r)
 
     def __call__(self, r):
+        """Profile, first and second derivatives at radii r."""
+        r = np.asarray(r, dtype=float)
+        p, dp = self.profile(r)
+        s = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+        ddp = np.where((r > 0.5) & (r < 1.0), -24.0 * (1.0 - 2.0 * s), 0.0)
+        return p, dp, ddp
+
+    def profile(self, r):
+        """Profile and first derivative at radii r."""
         r = np.asarray(r, dtype=float)
         s = np.clip(2.0 * r - 1.0, 0.0, 1.0)
         p = 1.0 - (3.0 * s**2 - 2.0 * s**3)
-        dp = -12.0 * s * (1.0 - s)
-        ddp = -24.0 * (1.0 - 2.0 * s)
-        inside = (r > 0.5) & (r < 1.0)
-        dp = np.where(inside, dp, 0.0)
-        ddp = np.where(inside, ddp, 0.0)
-        return p, dp, ddp
+        dp = np.where((r > 0.5) & (r < 1.0), -12.0 * s * (1.0 - s), 0.0)
+        return p, dp
 
 
 _CUTOFF = CubicCutoff()
 
 
 def _gaussian(r2: np.ndarray, eps: float, n: int) -> np.ndarray:
-    return (2.0 * math.pi * eps * eps) ** (-n / 2.0) * np.exp(-r2 / (2.0 * eps * eps))
+    g = np.exp(np.divide(r2, -2.0 * eps * eps))
+    g *= (2.0 * math.pi * eps * eps) ** (-n / 2.0)
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +89,7 @@ def _normalization(n: int, eps: float) -> float:
     sigma = unit_sphere_area(n)
 
     def integrand(r):
-        p, _, _ = _CUTOFF(r)
+        p, _ = _CUTOFF.profile(r)
         return p * _gaussian(np.asarray(r) ** 2, eps, n) * sigma * r ** (n - 1)
 
     pts = sorted({min(0.5, 5.0 * eps), 0.5})
@@ -207,16 +214,25 @@ class Kernel:
     def _value_and_grad_scalar(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel value and the scalar s(r) with grad(x) = s(|x|) x.
 
-        Operates on squared radii so pairwise loops avoid redundant square
-        roots; s is finite everywhere (the cutoff slope vanishes near 0).
+        Operates on squared radii: the cutoff terms, and their square
+        roots, are evaluated only for radii in (1/2, 1).  Inside 1/2 the
+        cutoff is 1 with zero slope and from 1 on it is 0, so there the
+        value and s follow without it; s is finite everywhere.
         """
-        r = np.sqrt(r2)
-        p, dp, _ = self.cutoff(r)
-        g = _gaussian(r2, self.eps, self.n)
-        val = self.c_eps * p * g
-        with np.errstate(invalid="ignore", divide="ignore"):
-            slope = np.where(r > 0.0, dp / np.where(r > 0.0, r, 1.0), 0.0)
-        s = -val / (self.eps * self.eps) + self.c_eps * g * slope
+        eps2 = self.eps * self.eps
+        gauss = _gaussian(r2, self.eps, self.n)
+        cut = np.flatnonzero((r2 > 0.25) & (r2 < 1.0))
+        gc = gauss.take(cut)
+        val = np.multiply(gauss, self.c_eps, out=gauss)
+        val[r2 >= 1.0] = 0.0
+        s = val / -eps2
+        s += 0.0  # a zero value gets the slope +0.0, as from the cutoff term
+        if cut.size:
+            r = np.sqrt(r2.take(cut))
+            p, dp = self.cutoff.profile(r)
+            vc = self.c_eps * p * gc
+            val.put(cut, vc)
+            s.put(cut, vc / -eps2 + self.c_eps * gc * (dp / r))
         return val, s
 
     def gradients(self, points: np.ndarray) -> np.ndarray:

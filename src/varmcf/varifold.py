@@ -12,6 +12,7 @@ order, which keeps results deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -157,9 +158,13 @@ class SampledMap:
             return 0.0
         return float(np.max(np.linalg.norm(self.velocities, axis=1)))
 
-    @property
+    @cached_property
     def sup_differential(self) -> float:
-        """Largest operator norm among the sampled differentials."""
+        """Largest operator norm among the sampled differentials.
+
+        Computed once (one SVD per sample) and kept: a step's certificate
+        gate and its diagnostics both read it.
+        """
         if len(self) == 0:
             return 0.0
         return float(np.max(np.linalg.norm(self.differentials, ord=2, axis=(1, 2))))

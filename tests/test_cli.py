@@ -136,23 +136,28 @@ class TestEvolve:
         assert "unknown keys" in err and "rule" in err
 
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        # the 100-atom sphere's field runs its batched products through BLAS
         src = str(Path(varmcf.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            run_dir = tmp_path / f"threads{threads}"
-            run_dir.mkdir()
-            path, config = run_config(run_dir)
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            proc = subprocess.run(
-                [sys.executable, "-m", "varmcf.cli", "evolve", str(path)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(
-                [Path(config["outputs"][k]).read_bytes() for k in ("trajectory", "diagnostics")]
-            )
-        assert outputs[0] == outputs[1]
+        runs = (({"kind": "circle", "samples": 24}, 0.1), ({"kind": "sphere", "samples": 100}, 0.2))
+        for shape, eps in runs:
+            outputs = []
+            for threads in ("1", "2"):
+                run_dir = tmp_path / f"{shape['kind']}-threads{threads}"
+                run_dir.mkdir()
+                path, config = run_config(
+                    run_dir, input={"shape": shape}, flow={"eps": eps, "horizon": 0.004, "steps": 4}
+                )
+                env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "varmcf.cli", "evolve", str(path)],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(
+                    [Path(config["outputs"][k]).read_bytes() for k in ("trajectory", "diagnostics")]
+                )
+            assert outputs[0] == outputs[1], shape["kind"]
 
 
 class TestGenerateAndDistance:

@@ -49,6 +49,100 @@ def arc_quadrature_first_variation(kernel, y, radius=1.0, nodes=100_000):
     return proj.sum(axis=0) * (2.0 * np.pi * radius / nodes)
 
 
+def lattice_reference(v, kernel, spec):
+    """Every lattice cell against every atom, cut at r: the sums `curvature_field` takes.
+
+    Returns the velocities, differentials and dissipation, the sums of the
+    absolute terms behind the largest velocity and differential (the scale
+    of their rounding, which stays nonzero where symmetry cancels a sum),
+    and the set of in-radius (atom, cell centre) pairs.
+    """
+    r = spec.radius(kernel.eps)
+    h = 2.0 * r / spec.points_per_axis
+    lo = v.positions.min(axis=0) - r
+    hi = v.positions.max(axis=0) + r
+    counts = np.ceil((hi - lo) / h).astype(int)
+    mid = 0.5 * (lo + hi)
+    axes = [mid[i] + (np.arange(k) - 0.5 * (k - 1)) * h for i, k in enumerate(counts)]
+    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, v.n)
+    diff = v.positions[None, :, :] - cells[:, None, :]  # (cells, atoms, n)
+    near = np.linalg.norm(diff, axis=2) <= r
+    flat = diff.reshape(-1, v.n)
+    val = np.where(near, kernel.values(flat).reshape(near.shape), 0.0)
+    grad = np.where(near[..., None], kernel.gradients(flat).reshape(diff.shape), 0.0)
+    projectors = np.einsum("jdi,jdk->jik", v.frames, v.frames)
+    mass = val @ v.masses
+    var = np.einsum("j,jik,cjk->ci", v.masses, projectors, grad)
+    denom = mass + kernel.eps
+    raw = -var / denom[:, None]
+    volume = h**v.n
+    velocities = volume * np.einsum("cj,ci->ji", val, raw)
+    differentials = volume * np.einsum("ca,cjb->jab", raw, grad)
+    rate = volume * float(np.sum(np.einsum("ci,ci->c", var, var) / denom))
+    size = np.linalg.norm(raw, axis=1)
+    scales = (
+        volume * float(np.max(val.T @ size)),
+        volume * float(np.max(np.einsum("cj,c->j", np.linalg.norm(grad, axis=2), size))),
+    )
+    c, j = np.nonzero(near)
+    pairs = {(int(a), tuple(z)) for a, z in zip(j, cells[c].tolist())}
+    return velocities, differentials, rate, scales, pairs
+
+
+def space_curve(count):
+    """A closed curve in R^3 (d = 1, n = 3): a circle tilted out of every axis plane."""
+    t = 2.0 * np.pi * np.arange(count) / count
+    x = np.stack([np.cos(t), np.sin(t), 0.3 * np.sin(2.0 * t)], axis=1)
+    tangents = np.stack([-np.sin(t), np.cos(t), 0.6 * np.cos(2.0 * t)], axis=1)
+    speed = np.linalg.norm(tangents, axis=1)
+    frames = (tangents / speed[:, None])[:, None, :]
+    return Varifold(1, 3, x, frames, speed * 2.0 * np.pi / count)
+
+
+def on_cell_faces():
+    # at eps 0.2 and 8 points per axis h = 0.25 and the lattice is 12 x 8
+    # cells, so each atom sits on a face between two cells along both axes
+    # and the nearest cell is a rint tie
+    return Varifold(1, 2, [[0.0, 0.0], [1.0, 0.0]], [[[1.0, 0.0]], [[0.6, 0.8]]], [1.0, 0.5])
+
+
+def far_clusters():
+    # a long, narrow lattice (33 x 10 cells at eps 0.1 and 8 points per
+    # axis): candidates off its short axis wrap into neighbouring rows of
+    # the linear index
+    x = [[0.0, 0.0], [0.1, 0.05], [3.0, 0.2], [3.1, 0.25]]
+    frames = [[[1.0, 0.0]], [[0.6, 0.8]], [[0.0, 1.0]], [[0.8, -0.6]]]
+    return Varifold(1, 2, x, frames, [1.0, 0.5, 0.75, 1.25])
+
+
+class TestStencilAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "make, eps, q",
+        [
+            (lambda: circle(40), 0.1, 16),
+            (lambda: generate(ShapeSpec("sphere", samples=30)), 0.3, 8),
+            (lambda: space_curve(30), 0.2, 8),
+            (single_atom, 0.2, 16),
+            (far_clusters, 0.1, 8),
+            (on_cell_faces, 0.2, 8),
+        ],
+        ids=[
+            "circle-d1-n2", "sphere-d2-n3", "curve-d1-n3", "single-atom", "far-clusters", "cell-faces"
+        ],
+    )
+    def test_field_and_pairs_match_every_cell_against_every_atom(self, make, eps, q):
+        v = make()
+        kernel, spec = Kernel.create(v.n, eps), QuadratureSpec(q)
+        velocities, differentials, rate, scales, pairs = lattice_reference(v, kernel, spec)
+        field = curvature_field(v, kernel, spec)
+        assert np.abs(field.velocities - velocities).max() <= 1e-12 * scales[0]
+        assert np.abs(field.differentials - differentials).max() <= 1e-12 * scales[1]
+        assert field.dissipation == pytest.approx(rate, rel=1e-12, abs=0.0)
+        found = cell_pairs(v, eps, spec)
+        listed = list(zip(found.atom.tolist(), map(tuple, found.centres[found.cell].tolist())))
+        assert len(listed) == len(set(listed)) and set(listed) == pairs
+
+
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,21 @@ class TestStep:
         assert diag.mass_after <= diag.mass_before + 1e-3
         assert 0.5 <= diag.jacobian_min <= diag.jacobian_max <= 1.5
 
+    def test_certificate_norm_is_computed_once_per_step(self, monkeypatch):
+        # the gate in push_forward and the diagnostics row share one SVD pass
+        norm, calls = np.linalg.norm, []
+
+        def counting(x, ord=None, axis=None, keepdims=False):
+            calls.append(ord)
+            return norm(x, ord=ord, axis=axis, keepdims=keepdims)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        subdivision = Subdivision.uniform(3, 0.003)
+        config = FlowConfig(eps=0.1, subdivision=subdivision, quadrature=FAST_QUAD)
+        traj = evolve(circle(30), config)
+        assert len(traj.diagnostics) == 3
+        assert calls.count(2) == 3
+
     def test_certificate_violation_leaves_no_state(self):
         kernel = Kernel.create(2, 0.05)
         v = circle(30)
@@ -476,6 +491,22 @@ class TestSerialization:
         twice = tmp_path / "twice.json"
         write_trajectory_json(back, twice)
         assert path.read_bytes() == twice.read_bytes()
+
+    def test_atom_template_matches_the_record_layout(self):
+        # the per-atom template against the generic writer on plain atom records
+        from varmcf.flow import _to_json, varifold_to_dict
+
+        frames = [[[1.0, 0.0, -0.0], [0.0, -1.0, 0.0]], [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]]
+        v = Varifold(2, 3, [[-0.0, 1e-300, -2.5e10], [3.0, 0.1, -7.25]], frames, [1e-17, 3.0])
+        records = [
+            {"x": x, "frame": f, "m": m}
+            for x, f, m in zip(v.positions.tolist(), v.frames.tolist(), v.masses.tolist())
+        ]
+        for indent in (0, 6):
+            expected = _to_json({"d": 2, "n": 3, "atoms": records}, indent)
+            assert _to_json(varifold_to_dict(v), indent) == expected
+        empty = Varifold.empty(1, 2)
+        assert _to_json(varifold_to_dict(empty)) == _to_json({"d": 1, "n": 2, "atoms": []})
 
     def test_diagnostics_csv_has_one_row_per_step(self, tmp_path, traj):
         path = tmp_path / "diag.csv"

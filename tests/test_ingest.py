@@ -82,8 +82,17 @@ class TestLoad:
             ([{"x": [0.0, 0.0], "m": 1.0}, {"x": [1.0, 0.0]}], "atom 1: m: missing, but atom 0 has one"),
             ([{"x": [0.0, 0.0]}, {"x": [1.0, 0.0, 2.0]}], "atom 1: x: expected 2 coordinates as on atom 0, got 3"),
             ([{"x": [0.0, 0.0], "m": "0.5"}], "atom 0: m: expected a number, got '0.5'"),
+            (
+                [
+                    {"x": [0.0, 0.0], "frame": [[1.0, 0.0]]},
+                    {"x": [1.0, 0.0], "frame": [[1.0, 0.1]]},
+                ],
+                "atom 1: frame is not orthonormal (deviation 4.988e-03 > 1e-6)",
+            ),
         ],
-        ids=["x-string", "frame-after-atom-0", "m-on-some-atoms", "x-ragged", "m-string"],
+        ids=[
+            "x-string", "frame-after-atom-0", "m-on-some-atoms", "x-ragged", "m-string", "frame-off"
+        ],
     )
     def test_malformed_json_atom_names_file_atom_and_key(self, tmp_path, atoms, message):
         path = tmp_path / "cloud.json"
@@ -91,6 +100,14 @@ class TestLoad:
         with pytest.raises(LoadError) as info:
             load(path)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_badly_off_csv_frame_names_file_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,t11,t12\n0.0,0.0,1.0,0.0\n1.0,0.0,1.0,0.1\n")
+        with pytest.raises(LoadError) as info:
+            load(path)
+        message = "frame is not orthonormal (deviation 4.988e-03 > 1e-6)"
+        assert str(info.value) == f"{path}: row 3: {message}"
 
     def test_badly_off_frames_are_rejected(self, tmp_path):
         doc = {"d": 1, "n": 2, "atoms": [{"x": [0.0, 0.0], "frame": [[1.0, 0.1]], "m": 1.0}]}

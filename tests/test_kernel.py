@@ -101,6 +101,22 @@ class TestEval:
         assert np.abs(grad).max() == 0.0
         assert np.abs(hess).max() == 0.0
 
+    @pytest.mark.parametrize("n, eps", [(1, 0.15), (2, 0.05), (3, 0.2), (3, 0.9)])
+    def test_pair_evaluator_equals_the_full_cutoff_formula(self, n, eps):
+        # the cutoff terms are evaluated only beyond radius 1/2; inside it
+        # the profile is 1 with zero slope, so every value must be unchanged
+        kernel = Kernel.create(n, eps)
+        edges = [0.0, 0.25, np.nextafter(0.25, 1.0), 1.0]
+        r2 = np.concatenate([np.random.default_rng(2).uniform(0.0, 1.3, 5000), edges])
+        r = np.sqrt(r2)
+        p, dp, _ = kernel.cutoff(r)
+        g = (2.0 * math.pi * eps * eps) ** (-n / 2.0) * np.exp(-r2 / (2.0 * eps * eps))
+        value = kernel.c_eps * p * g
+        slope = np.where(r > 0.0, dp / np.where(r > 0.0, r, 1.0), 0.0)
+        val, s = kernel._value_and_grad_scalar(r2)
+        assert np.array_equal(val, value)
+        assert np.array_equal(s, -value / (eps * eps) + kernel.c_eps * g * slope)
+
     def test_radial_symmetry_and_positivity(self):
         kernel = Kernel.create(3, 0.4)
         rng = np.random.default_rng(1)

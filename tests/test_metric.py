@@ -319,6 +319,24 @@ class TestLowerBound:
                 near_a, near_b, lambda x, p: 1.0 if x[0] > 0.05 else -1.0
             )
 
+    def test_lipschitz_check_spans_row_blocks(self):
+        # 1,200 support points are checked in more than one row block; the
+        # only violation is the pair of the last two points, a unit jump
+        # across a gap of 0.01
+        count = 1200
+        x = np.stack([0.01 * np.arange(count), np.zeros(count)], axis=1)
+        frames = np.tile([[[1.0, 0.0]]], (count, 1, 1))
+        v = Varifold(1, 2, x, frames, np.ones(count))
+        w = dirac([0.0, 5.0])
+        end = x[-1, 0] - 0.005
+
+        def ramp(x, plane):
+            return float(np.clip(x[0] - 6.0, -1.0, 1.0))
+
+        assert bounded_lipschitz_lower_bound(v, w, ramp) >= 0.0
+        with pytest.raises(ValueError, match="Lipschitz"):
+            bounded_lipschitz_lower_bound(v, w, lambda x, p: 1.0 if x[0] > end else 0.0)
+
     def test_any_feasible_witness_is_a_lower_bound(self):
         rng = np.random.default_rng(10)
         v, w = random_varifold(rng, 6), random_varifold(rng, 6)

@@ -136,6 +136,8 @@ def cmd_refine_study(args) -> int:
     if not (isinstance(levels, list) and len(levels) == 2):
         raise ConfigError("levels must be [first, last]")
     first, last = (_scalar(j, int, "config.levels") for j in levels)
+    if first > last:
+        raise ConfigError("config.levels: first level above last")
 
     from .curvature import QuadratureSpec
     from .flow import refinement_study

@@ -14,8 +14,8 @@ on the atoms' bounding box.
 Each atom reaches its cells through one integer stencil, the offsets
 ``o`` with ``|o| <= r / h + sqrt(n) / 2`` from its nearest cell, so the
 candidate pairs form dense (atom, offset) blocks; candidates beyond r
-weigh zero.  The kernel is evaluated once per candidate.  A first pass
-adds the smoothed mass and first variation into the lattice, one
+weigh zero.  Each of two passes evaluates the kernel once per candidate:
+the first adds the smoothed mass and first variation into the lattice, one
 ``bincount`` per component; a second gathers the raw field back and
 forms each atom's velocity and differential as one small matrix
 product.  The cells give the dissipation, so the discrete identity
@@ -41,9 +41,7 @@ from .varifold import SampledMap, Varifold
 
 __all__ = [
     "QuadratureSpec",
-    "CellPairs",
     "CurvatureField",
-    "cell_pairs",
     "smoothed_mass",
     "smoothed_first_variation",
     "raw_curvature",
@@ -85,20 +83,6 @@ class QuadratureSpec:
     def radius(self, eps: float) -> float:
         """Radius r of the kernel ball at scale eps."""
         return min(1.0, self.domain_radius_factor * eps)
-
-
-@dataclass(frozen=True)
-class CellPairs:
-    """The (lattice cell, atom) pairs within the kernel ball radius.
-
-    ``centres`` holds only the cells that pair with at least one atom;
-    ``cell[p]`` and ``atom[p]`` index the two ends of pair p.
-    """
-
-    centres: np.ndarray  # (C, n)
-    cell: np.ndarray  # (P,)
-    atom: np.ndarray  # (P,)
-    volume: float  # h^n
 
 
 @dataclass(frozen=True)
@@ -162,79 +146,42 @@ def raw_curvature(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
     return -var[0] / (mass[0] + kernel.eps)
 
 
-@dataclass(frozen=True)
-class _Stencil:
+def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     """The lattice of the sums and every atom's candidate cells on it.
 
-    Cell ``k`` (a multi-index with ``0 <= k < shape``) sits at
-    ``mid + (k - (shape - 1) / 2) h`` and has the C-order linear id
-    ``k . strides``.  Atom j's candidates are the cells ``base_j + o`` over
-    the integer offsets ``|o| <= r / h + sqrt(n) / 2``: every cell within r
-    of the atom is one, because ``delta_j``, the atom minus the centre of
-    its nearest cell, is at most ``h sqrt(n) / 2`` long.
-    """
+    The lattice covers the r-fattened bounding box of the atoms: cell ``k``
+    (a multi-index with ``0 <= k < counts``) sits at
+    ``mid + (k - (counts - 1) / 2) h``, mid the centre of the box, and has the
+    C-order linear id ``k . strides``.  Atom j's candidates are the cells
+    ``base_j + o`` over the integer offsets ``|o| <= r / h + sqrt(n) / 2``:
+    every cell within r of the atom is one, because ``delta_j``, the atom
+    minus the centre of its nearest cell, is at most ``h sqrt(n) / 2`` long.
 
-    shape: tuple
-    mid: np.ndarray  # (n,)
-    h: float
-    radius: float
-    max_nodes: int
-    steps: np.ndarray  # (n, S) the offsets times h
-    shifts: np.ndarray  # (S,) linear id of each offset
-    base: np.ndarray  # (N,) linear id of each atom's nearest cell
-    delta: np.ndarray  # (N, n)
+    Returns ``(cells, h, blocks)``: the lattice's cell count, its spacing
+    and a generator function over the candidates in atom blocks of about
+    ``BLOCK_CANDIDATES``, which can run again.  Each block is
+    ``(atoms, diff, ids, val, slope)``: the atom indices,
+    ``diff[b, :, s] = x_j - z`` for atom ``j = atoms[b]`` and its candidate
+    cell z, the cells' linear ids, and the kernel value and slope of each
+    candidate, zero beyond r (grad-Phi(x - z) = slope (x - z)).  Blocks
+    take the atoms in the lattice order of their nearest cells, so a
+    block's cells lie close together.  The id of a candidate off the
+    lattice wraps into another row or is clipped to the lattice, but such a
+    cell is more than ``r + h / 2`` from the atom.
 
-    @property
-    def cells(self) -> int:
-        return math.prod(self.shape)
-
-    def centres(self, ids: np.ndarray) -> np.ndarray:
-        """Coordinates of the cells with the given linear ids."""
-        k = np.stack(np.unravel_index(ids, self.shape), axis=1)
-        return self.mid + (k - 0.5 * (np.array(self.shape) - 1)) * self.h
-
-    def blocks(self):
-        """Candidate pairs in atom blocks of about ``BLOCK_CANDIDATES``.
-
-        Yields ``(atoms, diff, r2, ids, inside)``: the block's atom indices,
-        ``diff[b, :, s] = x_j - z`` for atom ``j = atoms[b]`` and its
-        candidate cell z, the squared lengths of these differences, the
-        cells' linear ids and whether each lies within r of its atom.
-        Blocks take the atoms in the lattice order of their nearest cells,
-        so a block's cells lie close together.  The id of a candidate off
-        the lattice wraps into another row or is clipped to the lattice,
-        but such a cell is more than ``r + h / 2`` from the atom.  Raises
-        QuadratureBudgetExceeded once the pairs within r exceed ``max_nodes``.
-        """
-        per_block = max(1, BLOCK_CANDIDATES // self.shifts.size)
-        order = np.argsort(self.base, kind="stable")
-        pairs = 0
-        for lo in range(0, order.size, per_block):
-            atoms = order[lo:lo + per_block]
-            diff = self.delta[atoms, :, None] - self.steps
-            r2 = np.einsum("bis,bis->bs", diff, diff)
-            inside = r2 <= self.radius**2
-            pairs += int(np.count_nonzero(inside))
-            if pairs > self.max_nodes:
-                raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {self.max_nodes}")
-            ids = np.clip(self.base[atoms, None] + self.shifts, 0, self.cells - 1)
-            yield atoms, diff, r2, ids, inside
-
-
-def _stencil(v: Varifold, eps: float, spec: QuadratureSpec) -> _Stencil:
-    """The lattice over the r-fattened bounding box and the atoms' stencil on it.
-
-    Raises QuadratureBudgetExceeded when the lattice exceeds ``spec.max_nodes``.
+    Raises QuadratureBudgetExceeded when the lattice exceeds
+    ``spec.max_nodes`` cells, or, while the blocks run and before their
+    kernel evaluation, once the pairs within r exceed it.
     """
     n = v.n
-    radius = spec.radius(eps)
+    radius = spec.radius(kernel.eps)
     h = 2.0 * radius / spec.points_per_axis
     lo = v.positions.min(axis=0) - radius
     hi = v.positions.max(axis=0) + radius
     counts = np.ceil((hi - lo) / h).astype(int)
-    total = math.prod(counts.tolist())
-    if total > spec.max_nodes:
-        raise QuadratureBudgetExceeded(f"{total} lattice cells exceed budget {spec.max_nodes}")
+    cells = math.prod(counts.tolist())
+    if cells > spec.max_nodes:
+        raise QuadratureBudgetExceeded(f"{cells} lattice cells exceed budget {spec.max_nodes}")
     mid = 0.5 * (lo + hi)
     half = 0.5 * (counts - 1)
     nearest = np.rint((v.positions - mid) / h + half).astype(np.intp)
@@ -245,45 +192,34 @@ def _stencil(v: Varifold, eps: float, spec: QuadratureSpec) -> _Stencil:
     offsets = np.indices((2 * width + 1,) * n).reshape(n, -1).T - width
     offsets = offsets[np.einsum("si,si->s", offsets, offsets) <= reach * reach]
     strides = np.array([math.prod(counts[i + 1:].tolist()) for i in range(n)], dtype=np.intp)
-    return _Stencil(
-        shape=tuple(counts.tolist()),
-        mid=mid,
-        h=h,
-        radius=radius,
-        max_nodes=spec.max_nodes,
-        steps=h * offsets.T,
-        shifts=offsets @ strides,
-        base=nearest @ strides,
-        delta=delta,
-    )
+    steps, shifts, base = h * offsets.T, offsets @ strides, nearest @ strides
 
+    def blocks():
+        per_block = max(1, BLOCK_CANDIDATES // shifts.size)
+        order = np.argsort(base, kind="stable")
+        pairs = 0
+        for start in range(0, order.size, per_block):
+            atoms = order[start:start + per_block]
+            diff = delta[atoms, :, None] - steps
+            r2 = np.einsum("bis,bis->bs", diff, diff)
+            inside = r2 <= radius**2
+            pairs += int(np.count_nonzero(inside))
+            if pairs > spec.max_nodes:
+                raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {spec.max_nodes}")
+            ids = np.clip(base[atoms, None] + shifts, 0, cells - 1)
+            val, slope = kernel._value_and_grad_scalar(r2)
+            outside = ~inside
+            val[outside] = 0.0
+            slope[outside] = 0.0
+            yield atoms, diff, ids, val, slope
 
-def cell_pairs(v: Varifold, eps: float, spec: QuadratureSpec) -> CellPairs:
-    """Lattice cells and atoms within ``r = spec.radius(eps)`` of each other.
-
-    Cell centres sit at ``mid + (k - (K - 1) / 2) h`` per axis, with mid the
-    midpoint of the r-fattened bounding box of the atoms and K cells per
-    axis covering it.  ``centres`` lists the cells that pair with an atom in
-    lattice order.  Raises QuadratureBudgetExceeded when the lattice over
-    the box, or the pair list, exceeds ``spec.max_nodes``.
-    """
-    if len(v) == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        h = 2.0 * spec.radius(eps) / spec.points_per_axis
-        return CellPairs(np.zeros((0, v.n)), empty, empty, h**v.n)
-    stencil = _stencil(v, eps, spec)
-    ids, atoms = [], []
-    for block, _, _, cell, inside in stencil.blocks():
-        ids.append(cell[inside])
-        atoms.append(block[np.nonzero(inside)[0]])
-    used, cell = np.unique(np.concatenate(ids), return_inverse=True)
-    return CellPairs(stencil.centres(used), cell.reshape(-1), np.concatenate(atoms), stencil.h**v.n)
+    return cells, h, blocks
 
 
 def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> CurvatureField:
     """Per-atom velocity, differential and dissipation of the regularized curvature.
 
-    With ``Phi`` the kernel and the sums over the pairs of `cell_pairs`:
+    With ``Phi`` the kernel and the sums over the (cell, atom) pairs within r:
 
         mass_c = sum_j m_j Phi(x_j - z_c)
         var_c  = sum_j m_j P_j grad-Phi(x_j - z_c)
@@ -298,24 +234,14 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     n, count = v.n, len(v)
     if count == 0:
         return CurvatureField(np.zeros((0, n)), np.zeros((0, n, n)), 0.0)
-    stencil = _stencil(v, kernel.eps, spec)
-    cells, volume = stencil.cells, stencil.h**n
-    projectors = np.einsum("jdi,jdk->jik", v.frames, v.frames)
-
-    def candidates():
-        """The blocks of `_Stencil.blocks` with the kernel value and slope of
-        each candidate, zero beyond r; grad-Phi(x - z) = slope (x - z)."""
-        for atoms, diff, r2, ids, inside in stencil.blocks():
-            val, slope = kernel._value_and_grad_scalar(r2)
-            outside = ~inside
-            val[outside] = 0.0
-            slope[outside] = 0.0
-            yield atoms, diff, ids, val, slope
+    cells, h, blocks = _lattice(v, kernel, spec)
+    volume = h**n
+    projectors = v.projectors()
 
     # Cell sums over the lattice, each block adding into the span of its cells.
     mass = np.zeros(cells)
     var = np.zeros((n, cells))
-    for atoms, diff, ids, val, slope in candidates():
+    for atoms, diff, ids, val, slope in blocks():
         first = int(ids.min())
         local = (ids - first).reshape(-1)
         span = slice(first, first + int(local.max()) + 1)
@@ -331,7 +257,7 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     # so that memory stays one block's worth: per atom, the product
     # [val; slope diff] raw holds h_j in its first row and Dh_j^T below it.
     sampled = np.empty((count, 1 + n, n))
-    for atoms, diff, ids, val, slope in candidates():
+    for atoms, diff, ids, val, slope in blocks():
         weights = np.empty((val.shape[0], 1 + n, val.shape[1]))
         weights[:, 0] = val
         np.multiply(slope[:, None, :], diff, out=weights[:, 1:])

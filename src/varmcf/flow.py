@@ -576,6 +576,12 @@ def _object(obj, context: str) -> dict:
     return obj
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
 def _check_keys(obj: dict, context: str, required: tuple = (), optional: tuple = ()) -> None:
     unknown = set(_object(obj, context)) - set(required) - set(optional)
     if unknown:
@@ -643,7 +649,8 @@ def flow_config_from_dict(data: dict, context: str) -> FlowConfig:
             raise ConfigError(f"{context}.horizon: not allowed with 'times', which set it")
         span["horizon"] = _scalar(data["horizon"], float, f"{context}.horizon")
     if mode == "times":
-        subdivision = record_from_dict(Subdivision, {"times": data["times"]}, context)
+        where = f"{context}.times"
+        subdivision = Subdivision([_scalar(t, float, where) for t in _list(data["times"], where)])
     else:
         make = Subdivision.uniform if mode == "steps" else Subdivision.dyadic
         subdivision = make(_scalar(data[mode], int, f"{context}.{mode}"), **span)
@@ -670,7 +677,7 @@ def _numbers(value, shape: tuple, where: str) -> None:
 
 def varifold_from_dict(data: dict, context: str) -> Varifold:
     d, n = (_scalar(data[k], int, f"{context}.{k}") for k in ("d", "n"))
-    atoms = data["atoms"]
+    atoms = _list(data["atoms"], f"{context}.atoms")
     for j, a in enumerate(atoms):
         where = f"{context}.atoms[{j}]"
         _check_keys(a, where, required=("x", "frame", "m"))
@@ -713,7 +720,7 @@ def read_trajectory_json(path) -> Trajectory:
         doc, "trajectory", required=("config", "snapshots", "diagnostics"), optional=("failure",)
     )
     snapshots = []
-    for i, s in enumerate(doc["snapshots"]):
+    for i, s in enumerate(_list(doc["snapshots"], "snapshots")):
         _check_keys(s, f"snapshots[{i}]", required=("t", "d", "n", "atoms"))
         snapshots.append(varifold_from_dict(s, f"snapshots[{i}]"))
     return Trajectory(
@@ -722,7 +729,7 @@ def read_trajectory_json(path) -> Trajectory:
         snapshots=snapshots,
         diagnostics=[
             record_from_dict(StepDiagnostics, d, f"diagnostics[{i}]")
-            for i, d in enumerate(doc["diagnostics"])
+            for i, d in enumerate(_list(doc["diagnostics"], "diagnostics"))
         ],
         fields=[None] * len(snapshots),
         failure=(

@@ -145,14 +145,23 @@ def _load_json(path: Path) -> RawCloud:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LoadError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise LoadError(
+            f"{path}: expected an object with an 'atoms' list, got a {type(doc).__name__}"
+        )
     atoms = doc.get("atoms")
     if atoms is None:
         raise LoadError(f"{path}: missing 'atoms' field")
+    if not isinstance(atoms, list):
+        raise LoadError(f"{path}: atoms: expected a list, got {atoms!r}")
     points, frames, masses = [], [], []
-    # atom 0 decides whether every atom carries a frame and a mass
-    optional = {key: bool(atoms) and key in atoms[0] for key in ("frame", "m")}
     for i, atom in enumerate(atoms):
         where = f"{path}: atom {i}"
+        if not isinstance(atom, dict):
+            raise LoadError(f"{where}: expected an object, got {atom!r}")
+        if i == 0:
+            # atom 0 decides whether every atom carries a frame and a mass
+            optional = {key: key in atom for key in ("frame", "m")}
         try:
             for key, first in optional.items():
                 if (key in atom) != first:

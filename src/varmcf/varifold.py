@@ -24,7 +24,6 @@ __all__ = [
     "Atom",
     "Varifold",
     "SampledMap",
-    "total_mass",
     "first_variation",
     "weighted_first_variation",
     "push_forward",
@@ -173,11 +172,6 @@ class SampledMap:
 def _check_samples(v: Varifold, count: int, what: str) -> None:
     if count != len(v):
         raise DimensionMismatch(f"{what}: expected {len(v)} per-atom samples, got {count}")
-
-
-def total_mass(v: Varifold) -> float:
-    """Total mass, the sum of the atom weights."""
-    return v.mass()
 
 
 def first_variation(v: Varifold, x_jacobians) -> float:

@@ -256,6 +256,20 @@ class TestRefineStudy:
         assert len(lines) == 2
         assert lines[1].endswith(",")
 
+    def test_descending_levels_exit_1_naming_the_key(self, tmp_path, capsys):
+        atom = {"d": 1, "n": 2, "atoms": [{"x": [0.0, 0.0], "frame": [[1.0, 0.0]], "m": 1.0}]}
+        (tmp_path / "atom.json").write_text(json.dumps(atom))
+        config = {
+            "schema": 1,
+            "input": {"file": str(tmp_path / "atom.json")},
+            "eps": 0.3,
+            "levels": [3, 2],
+        }
+        (tmp_path / "rs.json").write_text(json.dumps(config))
+        assert main(["refine-study", str(tmp_path / "rs.json")]) == 1
+        err = capsys.readouterr().err
+        assert "config.levels: first level above last" in err and "Traceback" not in err
+
 
 class TestKernelCheck:
     def test_valid_run_exits_0(self, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from varmcf.curvature import (
     QuadratureSpec,
-    cell_pairs,
+    _lattice,
     curvature_field,
     dissipation,
     raw_curvature,
@@ -55,7 +55,8 @@ def lattice_reference(v, kernel, spec):
     Returns the velocities, differentials and dissipation, the sums of the
     absolute terms behind the largest velocity and differential (the scale
     of their rounding, which stays nonzero where symmetry cancels a sum),
-    and the set of in-radius (atom, cell centre) pairs.
+    the set of (atom, cell id) pairs of nonzero kernel value, with the
+    C-order cell ids of `_lattice`, and the cell centres in id order.
     """
     r = spec.radius(kernel.eps)
     h = 2.0 * r / spec.points_per_axis
@@ -84,9 +85,19 @@ def lattice_reference(v, kernel, spec):
         volume * float(np.max(val.T @ size)),
         volume * float(np.max(np.einsum("cj,c->j", np.linalg.norm(grad, axis=2), size))),
     )
-    c, j = np.nonzero(near)
-    pairs = {(int(a), tuple(z)) for a, z in zip(j, cells[c].tolist())}
-    return velocities, differentials, rate, scales, pairs
+    c, j = np.nonzero(val)
+    pairs = set(zip(j.tolist(), c.tolist()))
+    return velocities, differentials, rate, scales, pairs, cells
+
+
+def weighted_pairs(v, kernel, spec):
+    """The (atom, cell id) candidates of `_lattice` with nonzero kernel value, in block order."""
+    _, _, blocks = _lattice(v, kernel, spec)
+    listed = []
+    for atoms, _, ids, val, _ in blocks():
+        b, s = np.nonzero(val)
+        listed.extend(zip(atoms[b].tolist(), ids[b, s].tolist()))
+    return listed
 
 
 def space_curve(count):
@@ -133,13 +144,14 @@ class TestStencilAgainstBruteForce:
     def test_field_and_pairs_match_every_cell_against_every_atom(self, make, eps, q):
         v = make()
         kernel, spec = Kernel.create(v.n, eps), QuadratureSpec(q)
-        velocities, differentials, rate, scales, pairs = lattice_reference(v, kernel, spec)
+        velocities, differentials, rate, scales, pairs, _ = lattice_reference(v, kernel, spec)
         field = curvature_field(v, kernel, spec)
         assert np.abs(field.velocities - velocities).max() <= 1e-12 * scales[0]
         assert np.abs(field.differentials - differentials).max() <= 1e-12 * scales[1]
         assert field.dissipation == pytest.approx(rate, rel=1e-12, abs=0.0)
-        found = cell_pairs(v, eps, spec)
-        listed = list(zip(found.atom.tolist(), map(tuple, found.centres[found.cell].tolist())))
+        # near r = 1 the cutoff takes the weights toward 0, so a pair missed
+        # there could pass the field checks; each must be a candidate once
+        listed = weighted_pairs(v, kernel, spec)
         assert len(listed) == len(set(listed)) and set(listed) == pairs
 
 
@@ -151,16 +163,19 @@ class TestQuadratureSpec:
             QuadratureSpec(domain_radius_factor=1.0)
 
     def test_lattice_weights_integrate_the_kernel(self):
-        # the cells paired with a single atom integrate the kernel; at
+        # the cells weighted for a single atom integrate the kernel; at
         # factor 8 the ball holds all but exp(-32) of the Gaussian
         eps = 0.12
         kernel = Kernel.create(2, eps)
         spec = QuadratureSpec(24, 8.0)
         atom = Varifold(1, 2, [[0.3, -0.2]], [[[1.0, 0.0]]], [1.0])
-        pairs = cell_pairs(atom, eps, spec)
-        offsets = pairs.centres[pairs.cell] - atom.positions[pairs.atom]
-        assert pairs.volume * kernel.values(offsets).sum() == pytest.approx(1.0, abs=1e-6)
-        assert np.all(np.linalg.norm(offsets, axis=1) <= spec.radius(eps) + 1e-12)
+        _, h, blocks = _lattice(atom, kernel, spec)
+        total = 0.0
+        for _, diff, _, val, _ in blocks():
+            total += val.sum()
+            weighted = val != 0.0
+            assert np.all(np.linalg.norm(diff, axis=1)[weighted] <= spec.radius(eps))
+        assert h**2 * total == pytest.approx(1.0, abs=1e-6)
 
     def test_budget_enforced(self):
         spec = QuadratureSpec(points_per_axis=64, max_nodes=1000)
@@ -294,9 +309,9 @@ class TestCurvatureField:
         v = circle(150)
         spec = QuadratureSpec()
         field = curvature_field(v, kernel, spec)
-        pairs = cell_pairs(v, kernel.eps, spec)
+        *_, pairs, centres = lattice_reference(v, kernel, spec)
         atom = 7
-        cells = pairs.centres[pairs.cell[pairs.atom == atom]]
+        cells = centres[sorted(c for j, c in pairs if j == atom)]
 
         def cut_raw(z):
             near = np.linalg.norm(v.positions - z, axis=1) <= spec.radius(kernel.eps)
@@ -304,9 +319,10 @@ class TestCurvatureField:
             return raw_curvature(ball, kernel, z)
 
         raw = np.array([cut_raw(z) for z in cells])
+        volume = (2.0 * spec.radius(kernel.eps) / spec.points_per_axis) ** 2
 
         def velocity_at(x):
-            return pairs.volume * kernel.values(x - cells) @ raw
+            return volume * kernel.values(x - cells) @ raw
 
         h = 1e-5
         fd = np.empty((2, 2))

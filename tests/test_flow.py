@@ -563,6 +563,17 @@ class TestSerialization:
                 lambda doc: doc["snapshots"][1]["atoms"][3].update(x=[1.0]),
                 "snapshots[1].atoms[3].x: expected a list of 2, got [1.0]",
             ),
+            (lambda doc: doc.update(snapshots=5), "snapshots: expected a list, got 5"),
+            (lambda doc: doc.update(diagnostics=5), "diagnostics: expected a list, got 5"),
+            (
+                lambda doc: doc["snapshots"][1].update(atoms=5),
+                "snapshots[1].atoms: expected a list, got 5",
+            ),
+            (lambda doc: doc["config"].update(times="ab"), "config.times: expected a list, got 'ab'"),
+            (
+                lambda doc: doc["config"].update(times=[0.0, "ab"]),
+                "config.times: expected float, got 'ab'",
+            ),
         ],
         ids=[
             "row-without-gate",
@@ -573,6 +584,11 @@ class TestSerialization:
             "snapshot-d-null",
             "atom-m-string",
             "atom-x-short",
+            "snapshots-number",
+            "diagnostics-number",
+            "atoms-number",
+            "config-times-string",
+            "config-times-item-string",
         ],
     )
     def test_malformed_record_exits_1_naming_the_key(self, tmp_path, capsys, traj, edit, message):

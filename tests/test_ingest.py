@@ -70,33 +70,54 @@ class TestLoad:
         assert np.abs(gram - np.eye(1)).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "atoms, message",
+        "doc, message",
         [
             # a string is not a list of coordinates, even one that reads like digits
-            ([{"x": [0.0, 0.0]}, {"x": "12"}], "atom 1: x: expected a list of numbers, got '12'"),
+            ({"atoms": [{"x": [0.0, 0.0]}, {"x": "12"}]}, "atom 1: x: expected a list of numbers, got '12'"),
             # frames are read from every atom, not only when atom 0 carries one
             (
-                [{"x": [0.0, 0.0]}, {"x": [1.0, 0.0], "frame": [[1.0, 0.0]]}],
+                {"atoms": [{"x": [0.0, 0.0]}, {"x": [1.0, 0.0], "frame": [[1.0, 0.0]]}]},
                 "atom 1: frame: present, but atom 0 has none",
             ),
-            ([{"x": [0.0, 0.0], "m": 1.0}, {"x": [1.0, 0.0]}], "atom 1: m: missing, but atom 0 has one"),
-            ([{"x": [0.0, 0.0]}, {"x": [1.0, 0.0, 2.0]}], "atom 1: x: expected 2 coordinates as on atom 0, got 3"),
-            ([{"x": [0.0, 0.0], "m": "0.5"}], "atom 0: m: expected a number, got '0.5'"),
             (
-                [
-                    {"x": [0.0, 0.0], "frame": [[1.0, 0.0]]},
-                    {"x": [1.0, 0.0], "frame": [[1.0, 0.1]]},
-                ],
+                {"atoms": [{"x": [0.0, 0.0], "m": 1.0}, {"x": [1.0, 0.0]}]},
+                "atom 1: m: missing, but atom 0 has one",
+            ),
+            (
+                {"atoms": [{"x": [0.0, 0.0]}, {"x": [1.0, 0.0, 2.0]}]},
+                "atom 1: x: expected 2 coordinates as on atom 0, got 3",
+            ),
+            ({"atoms": [{"x": [0.0, 0.0], "m": "0.5"}]}, "atom 0: m: expected a number, got '0.5'"),
+            (
+                {
+                    "atoms": [
+                        {"x": [0.0, 0.0], "frame": [[1.0, 0.0]]},
+                        {"x": [1.0, 0.0], "frame": [[1.0, 0.1]]},
+                    ]
+                },
                 "atom 1: frame is not orthonormal (deviation 4.988e-03 > 1e-6)",
             ),
+            ([1, 2], "expected an object with an 'atoms' list, got a list"),
+            ({"atoms": 5}, "atoms: expected a list, got 5"),
+            ({"atoms": {"a": 1}}, "atoms: expected a list, got {'a': 1}"),
+            ({"atoms": [5]}, "atom 0: expected an object, got 5"),
         ],
         ids=[
-            "x-string", "frame-after-atom-0", "m-on-some-atoms", "x-ragged", "m-string", "frame-off"
+            "x-string",
+            "frame-after-atom-0",
+            "m-on-some-atoms",
+            "x-ragged",
+            "m-string",
+            "frame-off",
+            "top-level-list",
+            "atoms-number",
+            "atoms-object",
+            "atom-number",
         ],
     )
-    def test_malformed_json_atom_names_file_atom_and_key(self, tmp_path, atoms, message):
+    def test_malformed_json_atom_names_file_atom_and_key(self, tmp_path, doc, message):
         path = tmp_path / "cloud.json"
-        path.write_text(json.dumps({"atoms": atoms}))
+        path.write_text(json.dumps(doc))
         with pytest.raises(LoadError) as info:
             load(path)
         assert str(info.value) == f"{path}: {message}"

@@ -3,8 +3,9 @@
 Subcommands: generate, evolve, distance, refine-study, kernel-check,
 diagnose.  Run configurations are JSON documents with a versioned
 ``schema`` field; unknown keys are rejected before any compute.  Exit
-codes: 0 success, 1 input/config error, 2 certificate abort (partial
-outputs are still written).
+codes: 0 success, 1 input/config error, 2 abort: a step of ``evolve``
+failed (partial outputs are still written), the strict step gate failed,
+or ``kernel-check`` found a bound violated.
 
 The numerical backend reads its thread count (``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS``) when numpy loads, which importing this package
@@ -26,7 +27,7 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
-EXIT_CERTIFICATE_ABORT = 2
+EXIT_ABORT = 2
 
 
 def _fail(message: str) -> int:
@@ -98,7 +99,7 @@ def cmd_evolve(args) -> int:
             f"{traj.failure.reason}",
             file=sys.stderr,
         )
-        return EXIT_CERTIFICATE_ABORT
+        return EXIT_ABORT
     print(f"completed {len(traj.diagnostics)} steps; final mass {traj.snapshots[-1].mass():.17g}")
     return EXIT_OK
 
@@ -174,7 +175,7 @@ def cmd_kernel_check(args) -> int:
     samples = raw * radii[:, None]
     report = kernel_bound_check(kernel, samples)
     print(_to_json(report))
-    return EXIT_OK if report["ok"] else EXIT_CERTIFICATE_ABORT
+    return EXIT_OK if report["ok"] else EXIT_ABORT
 
 
 def cmd_diagnose(args) -> int:
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except CertificateViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE_ABORT
+        return EXIT_ABORT
     except (EngineError, ValueError, OSError) as exc:
         return _fail(str(exc))
 

@@ -14,11 +14,13 @@ on the atoms' bounding box.
 Each atom reaches its cells through one integer stencil, the offsets
 ``o`` with ``|o| <= r / h + sqrt(n) / 2`` from its nearest cell, so the
 candidate pairs form dense (atom, offset) blocks; candidates beyond r
-weigh zero.  Each of two passes evaluates the kernel once per candidate:
-the first adds the smoothed mass and first variation into the lattice, one
-``bincount`` per component; a second gathers the raw field back and
-forms each atom's velocity and differential as one small matrix
-product.  The cells give the dissipation, so the discrete identity
+weigh zero.  The field takes two passes over the candidates and evaluates
+the kernel once per candidate, in the first: that pass adds the smoothed
+mass and first variation into the lattice, one ``bincount`` per
+component, and keeps each candidate's kernel value and slope; the second
+walks the same candidates again, gathers the raw field back and forms
+each atom's velocity and differential as one small matrix product.  The
+cells give the dissipation, so the discrete identity
 ``sum_j m_j tr(P_j Dh_j) = -dissipation`` holds up to rounding.
 
 The inner sums are cut at r, where the Gaussian factor of the kernel is
@@ -63,7 +65,10 @@ class QuadratureSpec:
         ``r = min(1, factor * eps)`` (>= 4; the Gaussian mass beyond 4 eps
         is below 3.4e-4, beyond 5 eps below 3.8e-6 of the total).
     max_nodes : budget on the cells of the lattice over the bounding box
-        and on the number of (cell, atom) pairs.
+        and on the number of (cell, atom) pairs.  It does not bound the
+        kernel values and slopes the field keeps between its two passes:
+        16 bytes per stencil candidate, within r or not (4.7 MB for the
+        100-atom sphere at eps 0.2, 2,945 candidates per atom).
     """
 
     points_per_axis: int = 16
@@ -159,19 +164,17 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
 
     Returns ``(cells, h, blocks)``: the lattice's cell count, its spacing
     and a generator function over the candidates in atom blocks of about
-    ``BLOCK_CANDIDATES``, which can run again.  Each block is
-    ``(atoms, diff, ids, val, slope)``: the atom indices,
+    ``BLOCK_CANDIDATES``, which yields the same blocks each time it runs.
+    Each block is ``(atoms, diff, ids)``: the atom indices,
     ``diff[b, :, s] = x_j - z`` for atom ``j = atoms[b]`` and its candidate
-    cell z, the cells' linear ids, and the kernel value and slope of each
-    candidate, zero beyond r (grad-Phi(x - z) = slope (x - z)).  Blocks
-    take the atoms in the lattice order of their nearest cells, so a
-    block's cells lie close together.  The id of a candidate off the
-    lattice wraps into another row or is clipped to the lattice, but such a
-    cell is more than ``r + h / 2`` from the atom.
+    cell z, and the cells' linear ids; `_weights` gives the candidates'
+    kernel values.  Blocks take the atoms in the lattice order of their
+    nearest cells, so a block's cells lie close together.  The id of a
+    candidate off the lattice wraps into another row or is clipped to the
+    lattice, but such a cell is more than ``r + h / 2`` from the atom.
 
     Raises QuadratureBudgetExceeded when the lattice exceeds
-    ``spec.max_nodes`` cells, or, while the blocks run and before their
-    kernel evaluation, once the pairs within r exceed it.
+    ``spec.max_nodes`` cells.
     """
     n = v.n
     radius = spec.radius(kernel.eps)
@@ -197,23 +200,25 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     def blocks():
         per_block = max(1, BLOCK_CANDIDATES // shifts.size)
         order = np.argsort(base, kind="stable")
-        pairs = 0
         for start in range(0, order.size, per_block):
             atoms = order[start:start + per_block]
             diff = delta[atoms, :, None] - steps
-            r2 = np.einsum("bis,bis->bs", diff, diff)
-            inside = r2 <= radius**2
-            pairs += int(np.count_nonzero(inside))
-            if pairs > spec.max_nodes:
-                raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {spec.max_nodes}")
             ids = np.clip(base[atoms, None] + shifts, 0, cells - 1)
-            val, slope = kernel._value_and_grad_scalar(r2)
-            outside = ~inside
-            val[outside] = 0.0
-            slope[outside] = 0.0
-            yield atoms, diff, ids, val, slope
+            yield atoms, diff, ids
 
     return cells, h, blocks
+
+
+def _weights(kernel: Kernel, radius: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel value and slope at the squared distances r2, zero beyond ``radius``.
+
+    ``grad-Phi(x - z) = slope (x - z)``.
+    """
+    val, slope = kernel._value_and_grad_scalar(r2)
+    outside = r2 > radius**2
+    val[outside] = 0.0
+    slope[outside] = 0.0
+    return val, slope
 
 
 def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> CurvatureField:
@@ -235,13 +240,23 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     if count == 0:
         return CurvatureField(np.zeros((0, n)), np.zeros((0, n, n)), 0.0)
     cells, h, blocks = _lattice(v, kernel, spec)
+    radius = spec.radius(kernel.eps)
     volume = h**n
     projectors = v.projectors()
 
-    # Cell sums over the lattice, each block adding into the span of its cells.
+    # Cell sums over the lattice, each block adding into the span of its
+    # cells; the pair budget is checked before the block's kernel evaluation.
     mass = np.zeros(cells)
     var = np.zeros((n, cells))
-    for atoms, diff, ids, val, slope in blocks():
+    kept = []
+    pairs = 0
+    for atoms, diff, ids in blocks():
+        r2 = np.einsum("bis,bis->bs", diff, diff)
+        pairs += int(np.count_nonzero(r2 <= radius**2))
+        if pairs > spec.max_nodes:
+            raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {spec.max_nodes}")
+        val, slope = _weights(kernel, radius, r2)
+        kept.append((val, slope))
         first = int(ids.min())
         local = (ids - first).reshape(-1)
         span = slice(first, first + int(local.max()) + 1)
@@ -253,11 +268,11 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     denom = mass + kernel.eps
     raw = np.ascontiguousarray((-var / denom).T)
 
-    # Atom sums over the same candidates, evaluated again rather than kept
-    # so that memory stays one block's worth: per atom, the product
-    # [val; slope diff] raw holds h_j in its first row and Dh_j^T below it.
+    # Atom sums over the same candidates, with the kernel values kept from
+    # the cell sums: per atom, the product [val; slope diff] raw holds h_j
+    # in its first row and Dh_j^T below it.
     sampled = np.empty((count, 1 + n, n))
-    for atoms, diff, ids, val, slope in blocks():
+    for (atoms, diff, ids), (val, slope) in zip(blocks(), kept):
         weights = np.empty((val.shape[0], 1 + n, val.shape[1]))
         weights[:, 0] = val
         np.multiply(slope[:, None, :], diff, out=weights[:, 1:])

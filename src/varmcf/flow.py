@@ -163,8 +163,9 @@ class Trajectory:
 
     ``fields[i]`` caches the curvature field of ``snapshots[i]`` (the one
     the step out of snapshot i used); missing entries are recomputed on
-    demand.  ``failure`` is set when a run aborted at a certificate
-    violation, in which case the snapshots up to the failing step are kept.
+    demand.  ``failure`` is set when a step raised an engine error (a
+    certificate violation, a quadrature budget exceeded, a degenerate
+    push), in which case the snapshots up to the failing step are kept.
     """
 
     config: FlowConfig
@@ -278,9 +279,10 @@ def step(
 def evolve(v0: Varifold, config: FlowConfig) -> Trajectory:
     """Run the time-discrete flow over the configured subdivision.
 
-    On a certificate violation the run aborts and the partial trajectory
-    is returned with a failure record; no automatic step halving happens
-    (reproducibility over convenience).
+    When a step raises an `EngineError` (its curvature field or its push)
+    the run aborts and the partial trajectory is returned with a failure
+    record whose reason starts with the error's class name; no automatic
+    step halving happens (reproducibility over convenience).
     """
     if len(v0) == 0:
         raise ValueError("cannot evolve an empty varifold")
@@ -309,9 +311,9 @@ def evolve(v0: Varifold, config: FlowConfig) -> Trajectory:
     current = v0
     for i in range(len(times) - 1):
         tau = float(times[i + 1] - times[i])
-        f = curvature_field(current, kernel, config.quadrature)
-        traj.fields.append(f)
         try:
+            f = curvature_field(current, kernel, config.quadrature)
+            traj.fields.append(f)
             current, diag = _apply_field(
                 current,
                 f,
@@ -321,8 +323,9 @@ def evolve(v0: Varifold, config: FlowConfig) -> Trajectory:
                 t_start=float(times[i]),
                 gate=gate,
             )
-        except CertificateViolation as exc:
-            traj.failure = FailureRecord(step=i, time=float(times[i]), reason=str(exc))
+        except EngineError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            traj.failure = FailureRecord(step=i, time=float(times[i]), reason=reason)
             break
         traj.times.append(float(times[i + 1]))
         traj.snapshots.append(current)
@@ -755,16 +758,25 @@ def write_diagnostics_csv(traj: Trajectory, path) -> None:
 
 
 def write_atoms_csv(traj: Trajectory, path) -> None:
-    """Flat per-atom table (t, atom_id, coordinates, mass, speed) for plotting."""
+    """Flat per-atom table (t, atom_id, coordinates, mass, speed) for plotting.
+
+    The speed is left empty on the snapshot an aborted run stopped at when
+    its curvature field is what failed.
+    """
     n = traj.snapshots[0].n
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "atom_id"] + [f"x{i + 1}" for i in range(n)] + ["m", "h_norm"])
         for i, (t, v) in enumerate(zip(traj.times, traj.snapshots)):
-            speeds = np.linalg.norm(traj.field_at(i).velocities, axis=1)
+            try:
+                speeds = [_fmt(s) for s in np.linalg.norm(traj.field_at(i).velocities, axis=1)]
+            except EngineError:
+                if traj.failure is None or traj.failure.step != i:
+                    raise
+                speeds = [""] * len(v)
             for j in range(len(v)):
                 writer.writerow(
                     [_fmt(t), j]
                     + [_fmt(c) for c in v.positions[j]]
-                    + [_fmt(v.masses[j]), _fmt(speeds[j])]
+                    + [_fmt(v.masses[j]), speeds[j]]
                 )

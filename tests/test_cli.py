@@ -67,6 +67,22 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "step" in err
 
+    def test_field_error_exits_2_with_partial_outputs(self, tmp_path, capsys):
+        # the 2,304-cell lattice fits max_nodes, the 4,868 pairs within r do not
+        flow = {"eps": 0.1, "horizon": 0.004, "steps": 4, "quadrature": {"max_nodes": 3000}}
+        path, config = run_config(tmp_path, flow=flow)
+        assert main(["evolve", str(path)]) == 2
+        traj = read_trajectory_json(config["outputs"]["trajectory"])
+        assert traj.failure is not None and traj.failure.step == 0
+        assert traj.failure.reason.startswith("QuadratureBudgetExceeded: ")
+        assert len(traj.snapshots) == 1
+        assert len((tmp_path / "diag.csv").read_text().splitlines()) == 1
+        rows = (tmp_path / "atoms.csv").read_text().splitlines()
+        # the speed column is empty: the field of that snapshot is what failed
+        assert len(rows) == 1 + 24 and all(row.endswith(",") for row in rows[1:])
+        err = capsys.readouterr().err
+        assert "aborted at step 0" in err and "QuadratureBudgetExceeded" in err
+
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         path, _ = run_config(tmp_path, input={"file": str(tmp_path / "ghost.csv"), "d": 1})
         assert main(["evolve", str(path)]) == 1

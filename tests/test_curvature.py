@@ -4,6 +4,7 @@ import pytest
 from varmcf.curvature import (
     QuadratureSpec,
     _lattice,
+    _weights,
     curvature_field,
     dissipation,
     raw_curvature,
@@ -90,12 +91,18 @@ def lattice_reference(v, kernel, spec):
     return velocities, differentials, rate, scales, pairs, cells
 
 
+def block_values(kernel, spec, diff):
+    """The kernel values `curvature_field` weighs a block's candidates with."""
+    val, _ = _weights(kernel, spec.radius(kernel.eps), np.einsum("bis,bis->bs", diff, diff))
+    return val
+
+
 def weighted_pairs(v, kernel, spec):
     """The (atom, cell id) candidates of `_lattice` with nonzero kernel value, in block order."""
     _, _, blocks = _lattice(v, kernel, spec)
     listed = []
-    for atoms, _, ids, val, _ in blocks():
-        b, s = np.nonzero(val)
+    for atoms, diff, ids in blocks():
+        b, s = np.nonzero(block_values(kernel, spec, diff))
         listed.extend(zip(atoms[b].tolist(), ids[b, s].tolist()))
     return listed
 
@@ -171,7 +178,8 @@ class TestQuadratureSpec:
         atom = Varifold(1, 2, [[0.3, -0.2]], [[[1.0, 0.0]]], [1.0])
         _, h, blocks = _lattice(atom, kernel, spec)
         total = 0.0
-        for _, diff, _, val, _ in blocks():
+        for _, diff, _ in blocks():
+            val = block_values(kernel, spec, diff)
             total += val.sum()
             weighted = val != 0.0
             assert np.all(np.linalg.norm(diff, axis=1)[weighted] <= spec.radius(eps))
@@ -352,6 +360,64 @@ class TestCurvatureField:
     def test_empty_varifold(self):
         field = curvature_field(Varifold.empty(1, 2), Kernel.create(2, 0.2), QuadratureSpec())
         assert len(field) == 0 and field.sup_velocity == 0.0
+
+    @pytest.mark.parametrize(
+        "make, eps",
+        [(lambda: circle(100), 0.1), (lambda: generate(ShapeSpec("sphere", samples=100)), 0.2)],
+        ids=["circle", "sphere"],
+    )
+    def test_kernel_is_evaluated_once_per_candidate(self, make, eps, monkeypatch):
+        v = make()
+        kernel, spec = Kernel.create(v.n, eps), QuadratureSpec()
+        # the stencil: integer offsets o with |o| <= r / h + sqrt(n) / 2
+        reach = spec.points_per_axis / 2 + np.sqrt(v.n) / 2
+        width = int(reach)
+        axis = np.arange(-width, width + 1) ** 2
+        squares = sum(np.ix_(*([axis] * v.n)))
+        stencil = int(np.count_nonzero(squares <= reach * reach))
+        evaluated = []
+        evaluate = Kernel._value_and_grad_scalar
+
+        def counting(self, r2):
+            evaluated.append(np.size(r2))
+            return evaluate(self, r2)
+
+        monkeypatch.setattr(Kernel, "_value_and_grad_scalar", counting)
+        curvature_field(v, kernel, spec)
+        assert sum(evaluated) == len(v) * stencil
+
+
+class TestEnergyInequality:
+    """``sum_j m_j |h_j|^2 <= W D``, with ``W = max_j h^n sum_c Phi(x_j - z_c)``.
+
+    Cauchy-Schwarz over each atom's cells bounds ``|h_j|^2`` by
+    ``W h^n sum_c Phi(x_j - z_c) |raw_c|^2``; summed with the masses this is
+    ``W h^n sum_c mass_c |raw_c|^2``, at most ``W D`` because
+    ``mass_c <= mass_c + eps``.  It is the per-step form of the L^2 bound on
+    the generalized mean curvature.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, samples, eps",
+        [
+            ("circle", 400, 0.05),
+            ("dumbbell", 400, 0.05),
+            ("sphere", 400, 0.1),
+            ("torus", 400, 0.1),
+            ("crossing-lines", 21, 0.2),  # 21 atoms per line
+        ],
+    )
+    def test_energy_is_bounded_by_dissipation(self, kind, samples, eps):
+        v = generate(ShapeSpec(kind, samples=samples))
+        kernel, spec = Kernel.create(v.n, eps), QuadratureSpec()
+        field = curvature_field(v, kernel, spec)
+        _, h, blocks = _lattice(v, kernel, spec)
+        sums = np.zeros(len(v))
+        for atoms, diff, _ in blocks():
+            sums[atoms] = block_values(kernel, spec, diff).sum(axis=1)
+        weight = h**v.n * sums.max()
+        energy = float(v.masses @ np.einsum("ji,ji->j", field.velocities, field.velocities))
+        assert energy <= weight * field.dissipation
 
 
 class TestDissipation:

@@ -5,7 +5,7 @@ import pytest
 
 from varmcf.cli import main
 from varmcf.curvature import QuadratureSpec, curvature_field
-from varmcf.errors import CertificateViolation, ConfigError
+from varmcf.errors import CertificateViolation, ConfigError, EngineError
 from varmcf.flow import (
     ConstantTest,
     FailureRecord,
@@ -163,7 +163,19 @@ class TestEvolve:
         traj = evolve(circle(30), config)
         assert traj.failure is not None
         assert traj.failure.step == 1
+        assert traj.failure.reason.startswith("CertificateViolation: ")
         assert len(traj.snapshots) == 2
+
+    def test_field_error_ends_the_run_with_a_failure_record(self):
+        # the 576-cell lattice fits max_nodes, the 2,520 pairs within r do not
+        spec = QuadratureSpec(points_per_axis=8, max_nodes=1000)
+        config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(4, 0.004), quadrature=spec)
+        traj = evolve(circle(50), config)
+        assert traj.failure is not None
+        assert (traj.failure.step, traj.failure.time) == (0, 0.0)
+        assert traj.failure.reason.startswith("QuadratureBudgetExceeded: ")
+        assert "pairs exceed budget 1000" in traj.failure.reason
+        assert len(traj.snapshots) == 1 and traj.diagnostics == []
 
     def test_strict_gate_rejects_coarse_subdivisions(self):
         config = FlowConfig(
@@ -335,6 +347,11 @@ class TestRefinementStudy:
         rows = refinement_study(single_atom(), 0.3, [2, 3], spec=FAST_QUAD, horizon=1e-5)
         assert [r.level for r in rows] == [2, 3]
         assert all(r.distance <= 1e-8 for r in rows)
+
+    def test_aborted_level_is_named(self):
+        spec = QuadratureSpec(points_per_axis=8, max_nodes=1000)
+        with pytest.raises(EngineError, match="level 2 aborted: QuadratureBudgetExceeded"):
+            refinement_study(circle(50), 0.1, [2, 3], spec=spec, horizon=0.004)
 
     def test_circle_distances_halve(self):
         rows = refinement_study(circle(50), 0.1, [3, 5], horizon=0.08)

@@ -157,7 +157,7 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     The lattice covers the r-fattened bounding box of the atoms: cell ``k``
     (a multi-index with ``0 <= k < counts``) sits at
     ``mid + (k - (counts - 1) / 2) h``, mid the centre of the box, and has the
-    C-order linear id ``k . strides``.  Atom j's candidates are the cells
+    C-order linear id ``k . strides``.  The candidates of atom j are the cells
     ``base_j + o`` over the integer offsets ``|o| <= r / h + sqrt(n) / 2``:
     every cell within r of the atom is one, because ``delta_j``, the atom
     minus the centre of its nearest cell, is at most ``h sqrt(n) / 2`` long.
@@ -268,7 +268,7 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     denom = mass + kernel.eps
     raw = np.ascontiguousarray((-var / denom).T)
 
-    # Atom sums over the same candidates, with the kernel values kept from
+    # Per-atom sums over the same candidates, with the kernel values kept from
     # the cell sums: per atom, the product [val; slope diff] raw holds h_j
     # in its first row and Dh_j^T below it.
     sampled = np.empty((count, 1 + n, n))

@@ -36,7 +36,6 @@ __all__ = [
     "StepDiagnostics",
     "FailureRecord",
     "Trajectory",
-    "step",
     "evolve",
     "brakke_residual",
     "refinement_study",
@@ -114,7 +113,7 @@ class FlowConfig:
     step, which is the mechanism that actually guarantees the pushes are
     diffeomorphic; "strict" additionally enforces the a-priori step
     bound ``strict_constant * delta <= (M + 1)^-3 eps^8`` up front, with a
-    user-supplied constant (the theory leaves it implicit).
+    user-supplied positive constant (the theory leaves it implicit).
     """
 
     eps: float
@@ -131,6 +130,11 @@ class FlowConfig:
             raise ValueError("diffeo_safety must lie in (0, 1)")
         if self.step_mode not in STEP_MODES:
             raise ValueError(f"step_mode must be one of {STEP_MODES}")
+        # a constant <= 0 or NaN would pass every step in the strict gate
+        if not (math.isfinite(self.strict_constant) and self.strict_constant > 0.0):
+            raise ValueError(
+                f"strict_constant must be finite and positive, got {self.strict_constant}"
+            )
 
 
 @dataclass(frozen=True)
@@ -252,28 +256,6 @@ def _apply_field(
         gate=gate,
     )
     return pushed, diag
-
-
-def step(
-    v: Varifold,
-    kernel: Kernel,
-    tau: float,
-    spec: QuadratureSpec | None = None,
-    safety: float = 0.5,
-) -> tuple[Varifold, StepDiagnostics]:
-    """One explicit step of the regularized flow.
-
-    Computes the curvature field of v, checks the certificate
-    ``tau * |Dh|_inf <= safety`` (raising CertificateViolation with no
-    state change otherwise) and pushes the varifold by ``id + tau h``.
-    The diagnostics flag, rather than hide, any violation of the per-step
-    mass bound ``mass_after <= mass_before + tau``.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    spec = spec or QuadratureSpec()
-    f = curvature_field(v, kernel, spec)
-    return _apply_field(v, f, tau, safety, index=0, t_start=0.0, gate="practical")
 
 
 def evolve(v0: Varifold, config: FlowConfig) -> Trajectory:
@@ -722,18 +704,34 @@ def read_trajectory_json(path) -> Trajectory:
     _check_keys(
         doc, "trajectory", required=("config", "snapshots", "diagnostics"), optional=("failure",)
     )
-    snapshots = []
-    for i, s in enumerate(_list(doc["snapshots"], "snapshots")):
+    config = flow_config_from_dict(doc["config"], "config")
+    config_times = config.subdivision.times.tolist()
+    records = _list(doc["snapshots"], "snapshots")
+    if len(records) > len(config_times):
+        raise ConfigError(f"snapshots: {len(records)} records for {len(config_times)} config times")
+    times, snapshots = [], []
+    for i, s in enumerate(records):
         _check_keys(s, f"snapshots[{i}]", required=("t", "d", "n", "atoms"))
+        # both are written with 17 digits, so they compare exactly
+        times.append(_scalar(s["t"], float, f"snapshots[{i}].t"))
+        if times[i] != config_times[i]:
+            raise ConfigError(
+                f"snapshots[{i}].t: {times[i]!r} is not config.times[{i}] = {config_times[i]!r}"
+            )
         snapshots.append(varifold_from_dict(s, f"snapshots[{i}]"))
+    diagnostics = [
+        record_from_dict(StepDiagnostics, d, f"diagnostics[{i}]")
+        for i, d in enumerate(_list(doc["diagnostics"], "diagnostics"))
+    ]
+    if len(diagnostics) != len(snapshots) - 1:
+        raise ConfigError(
+            f"diagnostics: expected one row per step ({len(snapshots) - 1}), got {len(diagnostics)}"
+        )
     return Trajectory(
-        config=flow_config_from_dict(doc["config"], "config"),
-        times=[_scalar(s["t"], float, "snapshots.t") for s in doc["snapshots"]],
+        config=config,
+        times=times,
         snapshots=snapshots,
-        diagnostics=[
-            record_from_dict(StepDiagnostics, d, f"diagnostics[{i}]")
-            for i, d in enumerate(_list(doc["diagnostics"], "diagnostics"))
-        ],
+        diagnostics=diagnostics,
         fields=[None] * len(snapshots),
         failure=(
             record_from_dict(FailureRecord, doc["failure"], "failure") if "failure" in doc else None

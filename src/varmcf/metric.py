@@ -35,7 +35,7 @@ from scipy import optimize, sparse
 from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, EngineError
-from .geometry import Plane, plane_distances
+from .geometry import plane_distances
 from .varifold import Varifold
 
 __all__ = [
@@ -244,17 +244,15 @@ def bl_distance_detail(v: Varifold, w: Varifold) -> dict:
 def bounded_lipschitz_lower_bound(v: Varifold, w: Varifold, phi) -> float:
     """Certified lower bound from an explicit test function.
 
-    ``phi(position, plane)`` is evaluated on the union support and checked
-    feasible (values in [-1, 1], pairwise Lipschitz with respect to the
-    ground metric); the witness value ``|sum_i w_i phi_i|`` then bounds the
-    distance from below.
+    ``phi(position, frame)``, with the node's ``(d, n)`` frame, is evaluated
+    on the union support and checked feasible (values in [-1, 1], pairwise
+    Lipschitz with respect to the ground metric); the witness value
+    ``|sum_i w_i phi_i|`` then bounds the distance from below.
     """
     problem = build_support_problem(v, w)
     if problem.size == 0:
         return 0.0
-    values = np.array(
-        [float(phi(problem.positions[i], Plane(problem.frames[i]))) for i in range(problem.size)]
-    )
+    values = np.array([float(phi(x, f)) for x, f in zip(problem.positions, problem.frames)])
     if np.any(np.abs(values) > 1.0 + 1e-9):
         raise ValueError("witness is infeasible: values exceed the unit sup bound")
     # pairs i < j, in row blocks of about a million entries

@@ -1,9 +1,8 @@
 """Point-cloud varifolds: weighted Dirac atoms carrying tangent planes.
 
-A varifold here is a finite list of atoms (position, plane, mass) in R^n
-with d-dimensional planes.  Internally the atoms are stored as stacked
-arrays (positions (N, n), frames (N, d, n), masses (N,)) so the measure
-operations vectorize; the per-atom view is available through `atoms`.
+A varifold here is a finite sum of atoms (position, plane, mass) in R^n
+with d-dimensional planes, stored as stacked arrays (positions (N, n),
+frames (N, d, n), masses (N,)) so the measure operations vectorize.
 All values are immutable and every operation is a pure function, so the
 module is safe for concurrent use.  Reductions run in fixed (atom-index)
 order, which keeps results deterministic.
@@ -13,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CertificateViolation, DimensionMismatch
-from .geometry import Plane, plane_distances, tangential_jacobian
+from .geometry import FRAME_ORTHO_TOL, plane_distances, tangential_jacobian
 
 __all__ = [
-    "Atom",
     "Varifold",
     "SampledMap",
     "first_variation",
@@ -34,25 +31,16 @@ __all__ = [
 DEFAULT_DIFFEO_SAFETY = 0.5
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One Dirac term: position x in R^n, tangent plane, mass >= 0."""
-
-    position: np.ndarray
-    plane: Plane
-    mass: float
-
-
 class Varifold:
     """An immutable weighted point cloud with tangent planes.
 
     Parameters
     ----------
     d, n : int
-        Plane dimension and ambient dimension, 1 <= d <= n.
+        Dimension of the planes and of the ambient space, 1 <= d <= n.
     positions : (N, n) array
     frames : (N, d, n) array
-        Row-orthonormal basis per atom (checked to 1e-10).
+        Row-orthonormal basis per atom (checked to ``FRAME_ORTHO_TOL``).
     masses : (N,) array of nonnegative weights.
     """
 
@@ -73,7 +61,7 @@ class Varifold:
         if count:
             gram = np.einsum("jdi,jei->jde", frames, frames)
             dev = np.abs(gram - np.eye(d)).max()
-            if dev > 1e-10:
+            if dev > FRAME_ORTHO_TOL:
                 raise ValueError(f"atom frames are not orthonormal (max deviation {dev:.3e})")
         for arr in (positions, frames, masses):
             arr.setflags(write=False)
@@ -93,28 +81,8 @@ class Varifold:
         return f"Varifold(d={self.d}, n={self.n}, atoms={len(self)}, mass={self.mass():.6g})"
 
     @classmethod
-    def from_atoms(cls, d: int, n: int, atoms: Iterable[Atom]) -> "Varifold":
-        atoms = list(atoms)
-        if not atoms:
-            return cls.empty(d, n)
-        return cls(
-            d,
-            n,
-            np.stack([a.position for a in atoms]),
-            np.stack([a.plane.frame for a in atoms]),
-            np.array([a.mass for a in atoms]),
-        )
-
-    @classmethod
     def empty(cls, d: int, n: int) -> "Varifold":
         return cls(d, n, np.zeros((0, n)), np.zeros((0, d, n)), np.zeros(0))
-
-    @property
-    def atoms(self) -> list[Atom]:
-        return [
-            Atom(self.positions[j], Plane(self.frames[j]), float(self.masses[j]))
-            for j in range(len(self))
-        ]
 
     def projectors(self) -> np.ndarray:
         """Stacked (N, n, n) orthogonal projectors onto the atom planes."""
@@ -149,13 +117,6 @@ class SampledMap:
 
     def __len__(self) -> int:
         return self.velocities.shape[0]
-
-    @property
-    def sup_velocity(self) -> float:
-        """Largest displacement norm among the samples."""
-        if len(self) == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.velocities, axis=1)))
 
     @cached_property
     def sup_differential(self) -> float:
@@ -214,7 +175,7 @@ def push_forward(
 ) -> Varifold:
     """Transport the varifold by the sampled map ``id + tau * f``.
 
-    Atom-wise: positions move by ``tau * value``, planes map through
+    Per atom: positions move by ``tau * value``, planes map through
     ``I + tau * differential`` and masses are scaled by the tangential
     Jacobian.  The atom count never changes.
 

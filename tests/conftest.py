@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from varmcf.flow import FlowConfig, Subdivision, evolve
 from varmcf.ingest import ShapeSpec, generate
+from varmcf.varifold import Varifold
+
+
+def random_frame(rng, d, n):
+    """Row-orthonormal (d, n) frame of the span of d standard normal vectors.
+
+    The pivoted QR keeps every seeded frame the tests have always drawn.
+    """
+    q, _, _ = scipy.linalg.qr(rng.standard_normal((d, n)).T, mode="economic", pivoting=True)
+    return q.T
+
 
 # Heavy shared runs for the acceptance criteria, computed once per session.
 
@@ -32,10 +44,7 @@ def brakke_runs():
 @pytest.fixture(scope="session")
 def stationarity_runs():
     """Single atom and symmetric crossing lines, 100 steps each."""
-    from varmcf.geometry import Plane
-    from varmcf.varifold import Atom, Varifold
-
-    atom = Varifold.from_atoms(1, 2, [Atom(np.zeros(2), Plane(np.eye(1, 2)), 1.0)])
+    atom = Varifold(1, 2, np.zeros((1, 2)), np.eye(1, 2)[None], [1.0])
     atom_config = FlowConfig(eps=0.3, subdivision=Subdivision.uniform(100, 0.1))
     lines = generate(ShapeSpec("crossing-lines", samples=21, length=2.0, angle=np.pi / 3))
     lines_config = FlowConfig(eps=0.2, subdivision=Subdivision.uniform(100, 0.05))

@@ -122,6 +122,10 @@ class TestEvolve:
                 {"input": {"file": "cloud.csv", "format": "csv", "d": 1}},
                 "input: unknown keys ['format']",
             ),
+            (
+                {"flow": {"eps": 0.1, "steps": 4, "step_mode": "strict", "strict_constant": 0}},
+                "strict_constant must be finite and positive, got 0.0",
+            ),
         ],
         ids=[
             "seed",
@@ -132,6 +136,7 @@ class TestEvolve:
             "neighbors-float",
             "horizon-with-times",
             "input-format",
+            "strict-constant-zero",
         ],
     )
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, overrides, message):

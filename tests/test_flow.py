@@ -20,22 +20,26 @@ from varmcf.flow import (
     interpolation_gap,
     read_trajectory_json,
     refinement_study,
-    step,
     write_atoms_csv,
     write_diagnostics_csv,
     write_trajectory_json,
 )
-from varmcf.geometry import Plane
 from varmcf.ingest import ShapeSpec, generate
 from varmcf.kernel import Kernel
 from varmcf.metric import bounded_lipschitz_distance
-from varmcf.varifold import Atom, Varifold
+from varmcf.varifold import Varifold
 
 FAST_QUAD = QuadratureSpec(points_per_axis=8)
 
 
 def single_atom():
-    return Varifold.from_atoms(1, 2, [Atom(np.zeros(2), Plane(np.eye(1, 2)), 1.0)])
+    return Varifold(1, 2, np.zeros((1, 2)), np.eye(1, 2)[None], [1.0])
+
+
+def one_step(v, eps, tau, quadrature=FAST_QUAD):
+    """The trajectory of a single flow step of size tau."""
+    config = FlowConfig(eps=eps, subdivision=Subdivision.uniform(1, tau), quadrature=quadrature)
+    return evolve(v, config)
 
 
 def circle(n_atoms, radius=1.0):
@@ -67,27 +71,27 @@ class TestSubdivision:
 
 class TestStep:
     def test_single_atom_keeps_position_and_mass_for_tiny_tau(self):
-        kernel = Kernel.create(2, 0.3)
         v = single_atom()
-        out, diag = step(v, kernel, 1e-9, FAST_QUAD)
+        traj = one_step(v, 0.3, 1e-9)
+        out, diag = traj.snapshots[-1], traj.diagnostics[0]
         assert np.abs(out.positions - v.positions).max() <= 1e-8
         assert np.abs(out.masses - v.masses).max() <= 1e-8
         assert diag.mass_bound_ok
 
     def test_single_atom_mass_decays_at_the_dissipation_rate(self):
-        kernel = Kernel.create(2, 0.3)
         v = single_atom()
         tau = 1e-3
-        out, diag = step(v, kernel, tau, FAST_QUAD)
+        traj = one_step(v, 0.3, tau)
+        out, diag = traj.snapshots[-1], traj.diagnostics[0]
         assert np.abs(out.positions - v.positions).max() <= 1e-8
         drop = v.mass() - out.mass()
         assert drop > 0.0
         assert drop == pytest.approx(tau * diag.dissipation, rel=1e-2)
 
     def test_circle_shrinks_and_loses_mass(self):
-        kernel = Kernel.create(2, 0.05)
         v = circle(100)
-        out, diag = step(v, kernel, 1e-3, QuadratureSpec())
+        traj = one_step(v, 0.05, 1e-3, QuadratureSpec())
+        out, diag = traj.snapshots[-1], traj.diagnostics[0]
         assert np.all(np.linalg.norm(out.positions, axis=1) < 1.0)
         assert out.mass() < v.mass()
         assert diag.mass_after <= diag.mass_before + 1e-3
@@ -109,15 +113,12 @@ class TestStep:
         assert calls.count(2) == 3
 
     def test_certificate_violation_leaves_no_state(self):
-        kernel = Kernel.create(2, 0.05)
         v = circle(30)
-        with pytest.raises(CertificateViolation) as err:
-            step(v, kernel, 10.0, FAST_QUAD)
-        assert err.value.certificate > err.value.limit
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            step(single_atom(), Kernel.create(2, 0.3), 0.0, FAST_QUAD)
+        traj = one_step(v, 0.05, 1.0)
+        assert traj.failure.step == 0
+        assert traj.failure.reason.startswith("CertificateViolation: ")
+        assert traj.snapshots == [v] and traj.diagnostics == []
+        assert traj.field_at(0).sup_differential > traj.config.diffeo_safety
 
 
 class TestEvolve:
@@ -200,6 +201,17 @@ class TestEvolve:
         traj = evolve(single_atom(), config)
         assert traj.failure is None
         assert all(d.gate == "strict" for d in traj.diagnostics)
+
+    @pytest.mark.parametrize("constant", [-1.0, 0.0, np.nan, np.inf])
+    def test_strict_constant_must_be_finite_and_positive(self, constant):
+        # -1, 0 and NaN would pass every step of the strict gate
+        with pytest.raises(ValueError, match="strict_constant must be finite and positive"):
+            FlowConfig(
+                eps=0.1,
+                subdivision=Subdivision.uniform(2, 0.002),
+                step_mode="strict",
+                strict_constant=constant,
+            )
 
     def test_sample_at_subdivision_times_matches_snapshots(self):
         config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(5, 0.01), quadrature=FAST_QUAD)
@@ -591,6 +603,22 @@ class TestSerialization:
                 lambda doc: doc["config"].update(times=[0.0, "ab"]),
                 "config.times: expected float, got 'ab'",
             ),
+            (
+                lambda doc: doc["snapshots"][2].update(t="ab"),
+                "snapshots[2].t: expected float, got 'ab'",
+            ),
+            (
+                lambda doc: doc.update(diagnostics=doc["diagnostics"][:1]),
+                "diagnostics: expected one row per step (3), got 1",
+            ),
+            (
+                lambda doc: doc["snapshots"].pop(1),
+                "snapshots[1].t: 0.004 is not config.times[1] = 0.002",
+            ),
+            (
+                lambda doc: doc["snapshots"].append(doc["snapshots"][-1]),
+                "snapshots: 5 records for 4 config times",
+            ),
         ],
         ids=[
             "row-without-gate",
@@ -606,6 +634,10 @@ class TestSerialization:
             "atoms-number",
             "config-times-string",
             "config-times-item-string",
+            "snapshot-t-string",
+            "diagnostics-dropped",
+            "snapshot-dropped",
+            "snapshot-extra",
         ],
     )
     def test_malformed_record_exits_1_naming_the_key(self, tmp_path, capsys, traj, edit, message):

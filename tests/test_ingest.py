@@ -1,11 +1,10 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from varmcf.errors import LoadError
-from varmcf.geometry import Plane, plane_distance
+from varmcf.geometry import plane_distances
 from varmcf.ingest import (
     RawCloud,
     ShapeSpec,
@@ -143,18 +142,16 @@ class TestEstimatePlanes:
         t = np.linspace(0.0, 1.0, 30)
         cloud = RawCloud(np.stack([t, 2.0 * t], axis=1))
         v = estimate_tangent_planes(cloud, d=1, k=5)
-        direction = Plane.span(np.array([1.0, 2.0]))
-        for j in range(len(v)):
-            assert plane_distance(Plane(v.frames[j]), direction) < 1e-8
+        direction = np.array([[1.0, 2.0]]) / np.sqrt(5.0)
+        assert plane_distances(v.frames, direction).max() < 1e-8
 
     def test_noiseless_circle_tangents(self):
         theta = 2.0 * np.pi * np.arange(200) / 200
         cloud = RawCloud(np.stack([np.cos(theta), np.sin(theta)], axis=1))
         v = estimate_tangent_planes(cloud, d=1, k=8)
-        for j in range(200):
-            true = Plane(np.array([[-np.sin(theta[j]), np.cos(theta[j])]]))
-            angle = math.degrees(math.asin(min(1.0, plane_distance(Plane(v.frames[j]), true))))
-            assert angle <= 2.0
+        true = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
+        angles = np.degrees(np.arcsin(np.minimum(1.0, plane_distances(v.frames, true))))
+        assert angles.max() <= 2.0
 
     def test_duplicated_points_are_degenerate(self):
         pts = np.zeros((10, 2))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import random_frame
 from scipy.optimize import linear_sum_assignment, linprog
 
 from varmcf.errors import DimensionMismatch
-from varmcf.geometry import Plane
 from varmcf.ingest import ShapeSpec, generate
 from varmcf.metric import (
     _solve_support_lp,
@@ -12,12 +12,11 @@ from varmcf.metric import (
     bounded_lipschitz_lower_bound,
     build_support_problem,
 )
-from varmcf.varifold import Atom, Varifold
+from varmcf.varifold import Varifold
 
 
 def dirac(x, angle=0.0, mass=1.0):
-    plane = Plane(np.array([[np.cos(angle), np.sin(angle)]]))
-    return Varifold.from_atoms(1, 2, [Atom(np.asarray(x, float), plane, mass)])
+    return Varifold(1, 2, [x], [[[np.cos(angle), np.sin(angle)]]], [mass])
 
 
 def random_varifold(rng, count, mass=None, spread=1.0):
@@ -77,7 +76,7 @@ class TestClosedForms:
 
     def test_dimension_mismatch(self):
         v = dirac([0.0, 0.0])
-        w = Varifold.from_atoms(1, 3, [Atom(np.zeros(3), Plane(np.eye(1, 3)), 1.0)])
+        w = Varifold(1, 3, np.zeros((1, 3)), np.eye(1, 3)[None], [1.0])
         with pytest.raises(DimensionMismatch):
             bounded_lipschitz_distance(v, w)
 
@@ -149,10 +148,7 @@ class TestMetricProperties:
         moved = dirac([1e-6, 0.0])
         assert bounded_lipschitz_distance(v, moved) > 1e-7
         # two coincident half-mass atoms equal one full atom as a measure
-        plane = Plane(np.eye(1, 2))
-        split = Varifold.from_atoms(
-            1, 2, [Atom(np.zeros(2), plane, 0.5), Atom(np.zeros(2), plane, 0.5)]
-        )
+        split = Varifold(1, 2, np.zeros((2, 2)), np.tile(np.eye(1, 2), (2, 1, 1)), [0.5, 0.5])
         assert bounded_lipschitz_distance(v, split) == pytest.approx(0.0, abs=1e-12)
 
     def test_determinism(self):
@@ -195,11 +191,8 @@ class TestSupportProblem:
                 assert np.all(d[i, j] <= d[i] + d[:, j] + 1e-9)
 
     def test_dedup_merges_coincident_atoms(self):
-        plane = Plane(np.eye(1, 2))
-        v = Varifold.from_atoms(
-            1, 2, [Atom(np.zeros(2), plane, 0.5), Atom(np.zeros(2), plane, 0.25)]
-        )
-        w = Varifold.from_atoms(1, 2, [Atom(np.zeros(2), plane, 0.5)])
+        v = Varifold(1, 2, np.zeros((2, 2)), np.tile(np.eye(1, 2), (2, 1, 1)), [0.5, 0.25])
+        w = dirac([0.0, 0.0], mass=0.5)
         problem = build_support_problem(v, w)
         assert problem.size == 1
         assert problem.weights[0] == pytest.approx(0.25)
@@ -243,7 +236,7 @@ class TestSupportBuildAgainstDenseReference:
     def test_planted_duplicates(self, d):
         rng = np.random.default_rng(100 + d)
         n = 3
-        frames = [Plane.span(rng.standard_normal((d, n))).frame for _ in range(30)]
+        frames = [random_frame(rng, d, n) for _ in range(30)]
         positions = list(rng.standard_normal((30, n)))
         masses = list(rng.random(30) + 0.1)
         # duplicates within V: exact copies of atoms 0 and 1
@@ -268,7 +261,7 @@ class TestSupportBuildAgainstDenseReference:
             w_pos.append(base.copy())
             w_frm.append(tilted(axis, gap))
         w_pos.extend(rng.standard_normal((10, n)))
-        w_frm.extend(Plane.span(rng.standard_normal((d, n))).frame for _ in range(10))
+        w_frm.extend(random_frame(rng, d, n) for _ in range(10))
         count = len(w_pos)
         w = Varifold(d, n, np.stack(w_pos), np.stack(w_frm), rng.random(count) + 0.1)
 
@@ -300,7 +293,7 @@ class TestLowerBound:
         v = dirac([0.0, 0.0], mass=m)
         w = dirac([gap, 0.0], mass=m)
 
-        def witness(x, plane):
+        def witness(x, frame):
             return float(np.clip(np.linalg.norm(x - target) - 1.0, -1.0, 1.0))
 
         got = bounded_lipschitz_lower_bound(v, w, witness)
@@ -330,7 +323,7 @@ class TestLowerBound:
         w = dirac([0.0, 5.0])
         end = x[-1, 0] - 0.005
 
-        def ramp(x, plane):
+        def ramp(x, frame):
             return float(np.clip(x[0] - 6.0, -1.0, 1.0))
 
         assert bounded_lipschitz_lower_bound(v, w, ramp) >= 0.0
@@ -343,7 +336,7 @@ class TestLowerBound:
         d = bounded_lipschitz_distance(v, w)
         anchors = rng.standard_normal((5, 2))
         for anchor in anchors:
-            def witness(x, plane, a=anchor):
+            def witness(x, frame, a=anchor):
                 return float(np.clip(np.linalg.norm(x - a) - 1.0, -1.0, 1.0))
 
             assert bounded_lipschitz_lower_bound(v, w, witness) <= d + 1e-9
@@ -363,9 +356,9 @@ def assert_certified(v, w):
     _, phi, _ = _solve_support_lp(problem)
     assert float(np.dot(problem.weights, phi)) == lower
 
-    def witness(x, plane):
+    def witness(x, frame):
         # support nodes are unique in (position, frame) after merging
-        at = (problem.positions == x).all(axis=1) & (problem.frames == plane.frame).all(axis=(1, 2))
+        at = (problem.positions == x).all(axis=1) & (problem.frames == frame).all(axis=(1, 2))
         return phi[np.flatnonzero(at)[0]]
 
     assert bounded_lipschitz_lower_bound(v, w, witness) == pytest.approx(abs(lower), abs=1e-12)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from conftest import random_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varmcf.errors import CertificateViolation, DegeneratePushforward, DimensionMismatch
-from varmcf.geometry import Plane, plane_distance
+from varmcf.geometry import plane_distances
 from varmcf.ingest import ShapeSpec, generate
 from varmcf.varifold import (
-    Atom,
     SampledMap,
     Varifold,
     compose,
@@ -19,13 +19,12 @@ from varmcf.varifold import (
 
 
 def single_atom(x=(0.0, 0.0), angle=0.0, mass=1.0):
-    plane = Plane(np.array([[np.cos(angle), np.sin(angle)]]))
-    return Varifold.from_atoms(1, 2, [Atom(np.asarray(x, float), plane, mass)])
+    return Varifold(1, 2, [x], [[[np.cos(angle), np.sin(angle)]]], [mass])
 
 
 def random_cloud(rng, count, d=1, n=2):
     positions = rng.standard_normal((count, n))
-    frames = np.stack([Plane.span(rng.standard_normal((d, n))).frame for _ in range(count)])
+    frames = np.stack([random_frame(rng, d, n) for _ in range(count)])
     masses = rng.random(count) + 0.1
     return Varifold(d, n, positions, frames, masses)
 
@@ -36,9 +35,8 @@ class TestVarifold:
         assert len(v) == 0 and v.mass() == 0.0
 
     def test_three_atoms(self):
-        v = Varifold.from_atoms(
-            1, 2, [Atom(np.array([float(i), 0.0]), Plane(np.eye(1, 2)), 0.5) for i in range(3)]
-        )
+        positions = [[float(i), 0.0] for i in range(3)]
+        v = Varifold(1, 2, positions, np.tile(np.eye(1, 2), (3, 1, 1)), [0.5, 0.5, 0.5])
         assert v.mass() == pytest.approx(1.5)
 
     def test_circle_total_mass(self):
@@ -59,12 +57,6 @@ class TestVarifold:
             v.positions[0, 0] = 5.0
         with pytest.raises(AttributeError):
             v.masses = np.ones(1)
-
-    def test_atoms_view(self):
-        v = generate(ShapeSpec("circle", samples=5))
-        atoms = v.atoms
-        assert len(atoms) == 5
-        assert atoms[0].mass == pytest.approx(2.0 * np.pi / 5.0)
 
 
 class TestFirstVariation:
@@ -154,8 +146,7 @@ class TestPushForward:
         out = push_forward(v, f, 0.5)
         assert np.allclose(out.positions, v.positions + 0.5 * shift)
         assert np.allclose(out.masses, v.masses, rtol=1e-14)
-        for j in range(12):
-            assert plane_distance(Plane(out.frames[j]), Plane(v.frames[j])) < 1e-12
+        assert plane_distances(out.frames, v.frames).max() < 1e-12
 
     def test_radial_contraction_scales_mass(self):
         v = generate(ShapeSpec("circle", samples=200))

@@ -49,7 +49,7 @@ def _load_config(path: str) -> dict:
 
 
 def _varifold_from_input(data: dict):
-    from .ingest import ShapeSpec, cloud_to_varifold, generate, load
+    from .ingest import ShapeSpec, generate, load
 
     _check_keys(data, "input", optional=("shape", "file", "d", "neighbors"))
     if ("shape" in data) == ("file" in data):
@@ -58,7 +58,7 @@ def _varifold_from_input(data: dict):
         return generate(record_from_dict(ShapeSpec, data["shape"], "input.shape"))
     d = _scalar(data["d"], int, "input.d") if "d" in data else None
     k = _scalar(data.get("neighbors", 8), int, "input.neighbors")
-    return cloud_to_varifold(load(data["file"]), d=d, k=k)
+    return load(data["file"], d=d, k=k)
 
 
 def cmd_generate(args) -> int:
@@ -108,13 +108,10 @@ def cmd_distance(args) -> int:
     from scipy.spatial import cKDTree
 
     from .flow import _to_json
-    from .ingest import cloud_to_varifold, load
+    from .ingest import load
     from .metric import bl_distance_detail
 
-    va, vb = (
-        cloud_to_varifold(load(path), d=args.d, k=args.neighbors)
-        for path in (args.file_a, args.file_b)
-    )
+    va, vb = (load(path, d=args.d, k=args.neighbors) for path in (args.file_a, args.file_b))
     detail = bl_distance_detail(va, vb)  # raises first when the ambient spaces differ
     if len(va) and len(vb) and cKDTree(vb.positions).query(va.positions)[0].min() > 2.0:
         print(

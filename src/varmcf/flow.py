@@ -4,9 +4,7 @@ One step pushes the varifold forward by ``id + tau * h`` where h is the
 regularized curvature field of the current state.  A trajectory records
 the snapshots at the subdivision times together with per-step
 diagnostics (mass, dissipation, the diffeomorphism certificate, Jacobian
-range).  Between subdivision times the flow extends either by a linear
-interpolation push or piecewise constantly; the two coincide at the
-subdivision times.
+range).
 
 Stepping is inherently sequential; everything inside a step is pure, and
 a trajectory is an immutable append-only record.
@@ -40,10 +38,8 @@ __all__ = [
     "brakke_residual",
     "refinement_study",
     "RefinementRow",
-    "interpolation_gap",
     "ConstantTest",
     "GaussianBump",
-    "PolynomialBump",
     "write_trajectory_json",
     "read_trajectory_json",
     "write_diagnostics_csv",
@@ -190,38 +186,12 @@ class Trajectory:
             self.fields[i] = curvature_field(self.snapshots[i], self.kernel, self.config.quadrature)
         return self.fields[i]
 
-    def _locate(self, t: float) -> int:
-        times = np.asarray(self.times)
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise ValueError(f"time {t} outside the recorded range [{times[0]}, {times[-1]}]")
-        return int(np.searchsorted(times, t + 1e-15, side="right") - 1)
-
     def index_of(self, t: float) -> int:
-        """Index of a subdivision time; errors when t is not one."""
-        i = self._locate(t)
-        for j in (i, min(i + 1, len(self.times) - 1)):
-            if math.isclose(self.times[j], t, rel_tol=0.0, abs_tol=1e-12):
-                return j
-        raise ValueError(f"time {t} is not a subdivision time of this trajectory")
-
-    def sample_at(self, t: float, mode: str = "interpolate") -> Varifold:
-        """Flow state at an arbitrary time in the recorded range.
-
-        "interpolate" pushes the last snapshot by ``id + (t - t_i) h_i``
-        (the default extension); "piecewise-constant" freezes the last
-        snapshot.  Both agree exactly at subdivision times.
-        """
-        i = self._locate(t)
-        tau = t - self.times[i]
-        if tau == 0.0 or i == len(self.snapshots) - 1:
-            return self.snapshots[i]
-        if mode == "piecewise-constant":
-            return self.snapshots[i]
-        if mode != "interpolate":
-            raise ValueError(f"unknown extension mode {mode!r}")
-        return push_forward(
-            self.snapshots[i], self.field_at(i), tau, safety=self.config.diffeo_safety
-        )
+        """Index of a subdivision time (to 1e-12); errors when t is not one."""
+        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
+        if not math.isclose(self.times[i], t, rel_tol=0.0, abs_tol=1e-12):
+            raise ValueError(f"time {t} is not a subdivision time of this trajectory")
+        return i
 
     def mass_history(self) -> np.ndarray:
         return np.array([v.mass() for v in self.snapshots])
@@ -353,41 +323,6 @@ class GaussianBump:
         return -(self.value(x, t) / self.width**2)[:, None] * d
 
 
-class PolynomialBump:
-    """Nonnegative affine profile times a smooth radial cutoff.
-
-    ``phi(x) = max_part(1 + slope . (x - center)) * cutoff(|x - center| / scale)``
-    with the same cubic smoothstep used by the kernel; ``slope`` must be
-    small enough that the affine part stays positive on the support.
-    """
-
-    def __init__(self, center, scale: float, slope=None):
-        from .kernel import CubicCutoff
-
-        self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
-        self.slope = (
-            np.zeros_like(self.center) if slope is None else np.asarray(slope, dtype=float)
-        )
-        if np.linalg.norm(self.slope) * self.scale >= 1.0:
-            raise ValueError("slope too steep: the profile would go negative on its support")
-        self._cutoff = CubicCutoff()
-
-    def value(self, x: np.ndarray, t: float) -> np.ndarray:
-        d = x - self.center
-        r = np.linalg.norm(d, axis=1) / self.scale
-        p, _ = self._cutoff.profile(r)
-        return (1.0 + d @ self.slope) * p
-
-    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        d = x - self.center
-        r = np.linalg.norm(d, axis=1) / self.scale
-        p, dp = self._cutoff.profile(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(r > 0.0, dp / (self.scale**2 * np.where(r > 0.0, r, 1.0)), 0.0)
-        return p[:, None] * self.slope[None, :] + ((1.0 + d @ self.slope) * radial)[:, None] * d
-
-
 def brakke_residual(traj: Trajectory, phi, a: float, b: float) -> float:
     """Defect of the integral mass-evolution identity over [a, b].
 
@@ -467,26 +402,6 @@ def refinement_study(
         rows.append(RefinementRow(j, dist, ratio))
         prev = dist
     return rows
-
-
-def interpolation_gap(
-    v0: Varifold,
-    eps: float,
-    subdivision: Subdivision,
-    t: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Distance between the interpolated and piecewise-constant extensions at t.
-
-    Zero at subdivision times; in between it scales like the step size.
-    """
-    config = FlowConfig(eps=eps, subdivision=subdivision, quadrature=spec or QuadratureSpec())
-    traj = evolve(v0, config)
-    if traj.failure is not None:
-        raise EngineError(f"flow aborted: {traj.failure.reason}")
-    return bounded_lipschitz_distance(
-        traj.sample_at(t, "interpolate"), traj.sample_at(t, "piecewise-constant")
-    )
 
 
 # Serialization ----------------------------------------------------------------
@@ -719,6 +634,24 @@ def read_trajectory_json(path) -> Trajectory:
                 f"snapshots[{i}].t: {times[i]!r} is not config.times[{i}] = {config_times[i]!r}"
             )
         snapshots.append(varifold_from_dict(s, f"snapshots[{i}]"))
+    failure = doc.get("failure")
+    if failure is not None:
+        failure = record_from_dict(FailureRecord, failure, "failure")
+    last = len(snapshots) - 1
+    if failure is None:
+        if len(snapshots) != len(config_times):
+            raise ConfigError(
+                f"snapshots: {len(snapshots)} records for {len(config_times)} config times "
+                "and no failure record"
+            )
+    elif failure.step != last:
+        raise ConfigError(f"failure.step: {failure.step} is not {last}, the last snapshot's index")
+    elif last == len(config_times) - 1:
+        raise ConfigError(f"failure.step: {last} is not a step of config.times, which has {last}")
+    elif failure.time != config_times[last]:  # exact, as for the snapshot times
+        raise ConfigError(
+            f"failure.time: {failure.time!r} is not config.times[{last}] = {config_times[last]!r}"
+        )
     diagnostics = [
         record_from_dict(StepDiagnostics, d, f"diagnostics[{i}]")
         for i, d in enumerate(_list(doc["diagnostics"], "diagnostics"))
@@ -733,9 +666,7 @@ def read_trajectory_json(path) -> Trajectory:
         snapshots=snapshots,
         diagnostics=diagnostics,
         fields=[None] * len(snapshots),
-        failure=(
-            record_from_dict(FailureRecord, doc["failure"], "failure") if "failure" in doc else None
-        ),
+        failure=failure,
     )
 
 

@@ -1,11 +1,11 @@
 """Data ingestion and synthetic shapes.
 
 File loaders accept CSV (columns ``x1..xn[,t11..tdn][,m]``) and JSON in
-the same atom schema the trajectory writer emits.  Raw clouds without
-frames get tangent planes from local PCA over k nearest neighbors.  The
-shape generators produce varifolds with analytic positions and exact
-tangent planes; in ``uniform-per-length`` mass mode every atom carries
-``total measure / N``.
+the same atom schema the trajectory writer emits, and return a
+`Varifold`.  Files without frames get tangent planes from local PCA over
+k nearest neighbors.  The shape generators produce varifolds with
+analytic positions and exact tangent planes; in ``uniform-per-length``
+mass mode every atom carries ``total measure / N``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DimensionMismatch, LoadError
+from .errors import LoadError
 from .varifold import Varifold
 
 __all__ = [
-    "RawCloud",
     "ShapeSpec",
     "load",
     "save_varifold_json",
@@ -46,36 +45,6 @@ SHAPE_KINDS = (
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
-
-@dataclass(frozen=True)
-class RawCloud:
-    """Points with optional frames and masses, prior to varifold assembly."""
-
-    points: np.ndarray
-    frames: np.ndarray | None = None
-    masses: np.ndarray | None = None
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", points)
-        if self.frames is not None:
-            frames = np.asarray(self.frames, dtype=float)
-            if frames.shape[0] != points.shape[0] or frames.shape[2] != points.shape[1]:
-                raise DimensionMismatch(
-                    f"frames shaped {frames.shape} do not match {points.shape[0]} points in "
-                    f"R^{points.shape[1]}"
-                )
-            object.__setattr__(self, "frames", frames)
-        if self.masses is not None:
-            masses = np.asarray(self.masses, dtype=float).reshape(-1)
-            if masses.shape[0] != points.shape[0]:
-                raise DimensionMismatch("one mass per point required")
-            object.__setattr__(self, "masses", masses)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def _reorthonormalize(frame: np.ndarray, where: str) -> np.ndarray:
     """Snap a nearly orthonormal frame back to the manifold (polar factor).
 
@@ -94,7 +63,7 @@ def _reorthonormalize(frame: np.ndarray, where: str) -> np.ndarray:
     return u @ vt
 
 
-def _load_csv(path: Path) -> RawCloud:
+def _load_csv(path: Path) -> tuple[list, list, list]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -113,6 +82,8 @@ def _load_csv(path: Path) -> RawCloud:
             raise LoadError(
                 f"{path}: expected {d * n} frame columns t11..t{d}{n}, found {len(tcols)}"
             )
+        if d > n:
+            raise LoadError(f"{path}: frame columns give {d} rows, more than the {n} coordinates")
         points, frames, masses = [], [], []
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -128,18 +99,16 @@ def _load_csv(path: Path) -> RawCloud:
                     masses.append(float(row[mcol[0]]))
             except (ValueError, IndexError) as exc:
                 raise LoadError(f"{path}: row {rownum}: {exc}") from None
-    return RawCloud(
-        np.array(points, dtype=float),
-        np.array(frames) if frames else None,
-        np.array(masses) if masses else None,
-    )
+    if not points:
+        raise LoadError(f"{path}: no data rows")
+    return points, frames, masses
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_json(path: Path) -> RawCloud:
+def _load_json(path: Path) -> tuple[list, list, list]:
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -154,6 +123,8 @@ def _load_json(path: Path) -> RawCloud:
         raise LoadError(f"{path}: missing 'atoms' field")
     if not isinstance(atoms, list):
         raise LoadError(f"{path}: atoms: expected a list, got {atoms!r}")
+    if not atoms:
+        raise LoadError(f"{path}: no atoms")
     points, frames, masses = [], [], []
     for i, atom in enumerate(atoms):
         where = f"{path}: atom {i}"
@@ -168,37 +139,55 @@ def _load_json(path: Path) -> RawCloud:
                     state = "missing, but atom 0 has one" if first else "present, but atom 0 has none"
                     raise LoadError(f"{where}: {key}: {state}")
             x = atom["x"]
-            if not (isinstance(x, list) and all(map(_is_number, x))):
+            if not (isinstance(x, list) and x and all(map(_is_number, x))):
                 raise LoadError(f"{where}: x: expected a list of numbers, got {x!r}")
             if points and len(x) != len(points[0]):
                 raise LoadError(f"{where}: x: expected {len(points[0])} coordinates as on atom 0, got {len(x)}")
             points.append([float(c) for c in x])
             if optional["frame"]:
-                frames.append(_reorthonormalize(np.asarray(atom["frame"], dtype=float), where))
+                frame, n = atom["frame"], len(x)
+                rows = frame if isinstance(frame, list) else []
+                if not (
+                    1 <= len(rows) <= n
+                    and all(isinstance(r, list) and len(r) == n and all(map(_is_number, r)) for r in rows)
+                ):
+                    message = f"expected 1 to {n} rows of {n} numbers, got {frame!r}"
+                    raise LoadError(f"{where}: frame: {message}")
+                if frames and len(rows) != len(frames[0]):
+                    message = f"expected {len(frames[0])} rows as on atom 0, got {len(rows)}"
+                    raise LoadError(f"{where}: frame: {message}")
+                frames.append(_reorthonormalize(np.array(frame, dtype=float), where))
             if optional["m"]:
                 if not _is_number(atom["m"]):
                     raise LoadError(f"{where}: m: expected a number, got {atom['m']!r}")
                 masses.append(float(atom["m"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise LoadError(f"{where}: {exc}") from None
-    return RawCloud(
-        np.array(points, dtype=float).reshape(len(atoms), -1),
-        np.array(frames) if frames else None,
-        np.array(masses) if masses else None,
-    )
+    return points, frames, masses
 
 
-def load(path) -> RawCloud:
-    """Read a raw cloud from a JSON file (suffix ``.json``) or else a CSV file.
+def load(path, d: int | None = None, k: int = 8) -> Varifold:
+    """Read a varifold from a JSON file (suffix ``.json``) or else a CSV file.
 
     Frames, when present, are validated orthonormal (re-orthonormalized
     when off by at most 1e-6, rejected beyond); parse failures name the
-    offending row.
+    offending row or atom.  A file without frames gets d-dimensional
+    planes from `estimate_tangent_planes` over k neighbors.  Masses
+    default to 1.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"input file not found: {path}")
-    return _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
+    points, frames, masses = (
+        _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
+    )
+    points = np.array(points, dtype=float)
+    masses = np.array(masses) if masses else np.ones(len(points))
+    if frames:
+        return Varifold(len(frames[0]), points.shape[1], points, frames, masses)
+    if d is None:
+        raise ValueError("plane dimension d is required when the cloud carries no frames")
+    return estimate_tangent_planes(points, d, k, masses)
 
 
 def save_varifold_json(v: Varifold, path) -> None:
@@ -209,50 +198,38 @@ def save_varifold_json(v: Varifold, path) -> None:
         fh.write("\n")
 
 
-def cloud_to_varifold(cloud: RawCloud, d: int | None = None, k: int = 8) -> Varifold:
-    """Assemble a varifold from a raw cloud, estimating planes when absent."""
-    if cloud.frames is not None:
-        d = cloud.frames.shape[1]
-        masses = cloud.masses if cloud.masses is not None else np.ones(len(cloud))
-        return Varifold(d, cloud.points.shape[1], cloud.points, cloud.frames, masses)
-    if d is None:
-        raise ValueError("plane dimension d is required when the cloud carries no frames")
-    return estimate_tangent_planes(cloud, d, k)
-
-
-def estimate_tangent_planes(cloud: RawCloud, d: int, k: int) -> Varifold:
+def estimate_tangent_planes(points: np.ndarray, d: int, k: int, masses: np.ndarray) -> Varifold:
     """Tangent planes from the top principal directions of k-NN neighborhoods.
 
     Ties in the eigendecomposition are broken deterministically by fixing
     each direction's sign at its largest-magnitude component (first index
-    wins).  Degenerate neighborhoods (zero covariance) are an error naming
-    the point.
+    wins).  Degenerate neighborhoods (zero covariance, or rank below d)
+    are an error naming the first such point.
     """
-    points = cloud.points
+    points = np.asarray(points, dtype=float)
     count, n = points.shape
+    if not 1 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d = {d} for points in R^{n}")
     if k < d + 1:
         raise ValueError(f"need k >= d + 1 neighbors, got k = {k}, d = {d}")
     if count <= k:
         raise ValueError(f"need more than k = {k} points, got {count}")
-    tree = cKDTree(points)
-    _, idx = tree.query(points, k=k)
-    frames = np.empty((count, d, n))
-    for j in range(count):
-        nbrs = points[idx[j]]
-        centered = nbrs - nbrs.mean(axis=0)
-        cov = centered.T @ centered
-        if float(np.abs(cov).max()) <= 1e-30:
-            raise LoadError(f"degenerate neighborhood at point {j}: zero covariance")
-        evals, evecs = np.linalg.eigh(cov)
-        basis = evecs[:, ::-1][:, :d].T  # rows, leading directions first
-        if evals[::-1][d - 1] <= 1e-30:
-            raise LoadError(f"degenerate neighborhood at point {j}: rank below {d}")
-        for r in range(d):
-            lead = int(np.argmax(np.abs(basis[r])))
-            if basis[r, lead] < 0.0:
-                basis[r] = -basis[r]
-        frames[j] = basis
-    masses = cloud.masses if cloud.masses is not None else np.ones(count)
+    _, idx = cKDTree(points).query(points, k=k)
+    nbrs = points[idx]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.matmul(centered.transpose(0, 2, 1), centered)
+    evals, evecs = np.linalg.eigh(cov)
+    zero = np.abs(cov).max(axis=(1, 2)) <= 1e-30
+    bad = np.flatnonzero(zero | (evals[:, n - d] <= 1e-30))
+    if bad.size:
+        j = int(bad[0])
+        reason = "zero covariance" if zero[j] else f"rank below {d}"
+        raise LoadError(f"degenerate neighborhood at point {j}: {reason}")
+    # rows, leading directions first
+    basis = evecs[:, :, ::-1][:, :, :d].transpose(0, 2, 1)
+    lead = np.argmax(np.abs(basis), axis=2)
+    negative = np.take_along_axis(basis, lead[:, :, None], axis=2) < 0.0
+    frames = np.where(negative, -basis, basis)
     return Varifold(d, n, points, frames, masses)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "CubicCutoff",
     "Kernel",
     "kernel_bound_check",
-    "normalization",
     "unit_ball_volume",
     "unit_sphere_area",
 ]
@@ -123,13 +122,6 @@ def normalization_cap(n: int) -> float:
     return 1.0 / val
 
 
-def normalization(n: int, eps: float) -> float:
-    """Normalization constant c(eps) making the kernel integrate to 1."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return _normalization(int(n), float(eps))
-
-
 @lru_cache(maxsize=None)
 def derivative_constant(n: int, cutoff_factor: float) -> float:
     """The constant c0 dominating the cutoff-region derivative terms.
@@ -163,7 +155,6 @@ class Kernel:
     eps: float
     c_eps: float
     c0: float
-    cutoff: CubicCutoff
 
     @classmethod
     def create(cls, n: int, eps: float) -> "Kernel":
@@ -177,7 +168,6 @@ class Kernel:
             eps=float(eps),
             c_eps=_normalization(int(n), float(eps)),
             c0=derivative_constant(int(n), k),
-            cutoff=_CUTOFF,
         )
 
     @property
@@ -195,7 +185,7 @@ class Kernel:
         """
         r = np.asarray(r, dtype=float)
         eps2 = self.eps * self.eps
-        p, dp, ddp = self.cutoff(r)
+        p, dp, ddp = _CUTOFF(r)
         g = _gaussian(r * r, self.eps, self.n)
         f = self.c_eps * p * g
         fp = self.c_eps * dp * g - (r / eps2) * f
@@ -229,7 +219,7 @@ class Kernel:
         s += 0.0  # a zero value gets the slope +0.0, as from the cutoff term
         if cut.size:
             r = np.sqrt(r2.take(cut))
-            p, dp = self.cutoff.profile(r)
+            p, dp = _CUTOFF.profile(r)
             vc = self.c_eps * p * gc
             val.put(cut, vc)
             s.put(cut, vc / -eps2 + self.c_eps * gc * (dp / r))
@@ -351,8 +341,8 @@ def kernel_bound_check(kernel: Kernel, samples: np.ndarray) -> dict:
             "c_cap": kernel.cap,
             "c0": c0,
             "c0_nominal": derivative_constant(kernel.n, nominal_k),
-            "cutoff_gradient_bound": kernel.cutoff.gradient_bound,
-            "cutoff_hessian_bound": kernel.cutoff.hessian_bound,
+            "cutoff_gradient_bound": _CUTOFF.gradient_bound,
+            "cutoff_hessian_bound": _CUTOFF.hessian_bound,
             "nominal_gradient_bound": NOMINAL_GRADIENT_BOUND,
             "nominal_hessian_bound": NOMINAL_HESSIAN_BOUND,
         },

@@ -11,13 +11,11 @@ from varmcf.flow import (
     FailureRecord,
     FlowConfig,
     GaussianBump,
-    PolynomialBump,
     StepDiagnostics,
     Subdivision,
     Trajectory,
     brakke_residual,
     evolve,
-    interpolation_gap,
     read_trajectory_json,
     refinement_study,
     write_atoms_csv,
@@ -25,7 +23,6 @@ from varmcf.flow import (
     write_trajectory_json,
 )
 from varmcf.ingest import ShapeSpec, generate
-from varmcf.kernel import Kernel
 from varmcf.metric import bounded_lipschitz_distance
 from varmcf.varifold import Varifold
 
@@ -213,22 +210,6 @@ class TestEvolve:
                 strict_constant=constant,
             )
 
-    def test_sample_at_subdivision_times_matches_snapshots(self):
-        config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(5, 0.01), quadrature=FAST_QUAD)
-        traj = evolve(circle(40), config)
-        for i, t in enumerate(traj.times):
-            for mode in ("interpolate", "piecewise-constant"):
-                assert traj.sample_at(t, mode) is traj.snapshots[i]
-
-    def test_sample_between_times(self):
-        config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(4, 0.02), quadrature=FAST_QUAD)
-        traj = evolve(circle(40), config)
-        t = 0.0125
-        interp = traj.sample_at(t, "interpolate")
-        pc = traj.sample_at(t, "piecewise-constant")
-        assert pc is traj.snapshots[2]
-        assert np.all(np.linalg.norm(interp.positions, axis=1) < 1.0)
-
 
 class TestSpaceFlows:
     """Flows in R^3: a sphere, a torus and a curve of codimension 2."""
@@ -346,10 +327,6 @@ class TestBrakkeResidual:
         with pytest.raises(ValueError):
             brakke_residual(traj, ConstantTest(), 0.0, 0.0033)
 
-    def test_polynomial_bump_is_usable(self, traj):
-        phi = PolynomialBump([0.0, 0.0], 4.0, slope=[0.1, 0.0])
-        assert brakke_residual(traj, phi, 0.0, 0.02) >= 0.0
-
 
 class TestRefinementStudy:
     def test_single_atom_is_refinement_stable(self):
@@ -387,39 +364,11 @@ class TestRefinementStudy:
         assert dT > 0.0
 
 
-class TestInterpolationGap:
-    def test_zero_at_subdivision_points(self):
-        sub = Subdivision.uniform(4, 0.02)
-        gap = interpolation_gap(circle(30), 0.1, sub, 0.01, spec=FAST_QUAD)
-        assert gap <= 1e-12
-
-    def test_single_atom_gap_vanishes_for_short_horizons(self):
-        sub = Subdivision.uniform(4, 4e-9)
-        t = float(sub.times[1]) + 5e-10
-        assert interpolation_gap(single_atom(), 0.3, sub, t, spec=FAST_QUAD) <= 1e-8
-
-    def test_single_atom_gap_is_the_dissipated_mass(self):
-        # between subdivision times the two extensions differ by the mass
-        # the interpolation push dissipates out of the straddling snapshot
-        from varmcf.curvature import dissipation
-
-        kernel = Kernel.create(2, 0.3)
-        v = single_atom()
-        sub = Subdivision.uniform(2, 0.02)
-        t = 0.0125
-        gap = interpolation_gap(v, 0.3, sub, t, spec=FAST_QUAD)
-        config = FlowConfig(eps=0.3, subdivision=sub, quadrature=FAST_QUAD)
-        straddled = evolve(v, config).snapshots[1]
-        rate = dissipation(straddled, kernel, FAST_QUAD)
-        assert gap == pytest.approx((t - 0.01) * rate, rel=0.05)
-
-    def test_gap_scales_with_the_step(self):
-        gaps = []
-        for m in (4, 8):
-            sub = Subdivision.uniform(m, 0.02)
-            tau = 0.02 / m
-            gaps.append(interpolation_gap(circle(30), 0.1, sub, sub.times[1] + tau / 2.0))
-        assert gaps[1] == pytest.approx(gaps[0] / 2.0, rel=0.25)
+def cut_to_two_steps(doc, failure=None):
+    """Keep the first 3 snapshots and 2 rows of the 3-step record, with ``failure``."""
+    doc.update(snapshots=doc["snapshots"][:3], diagnostics=doc["diagnostics"][:2])
+    if failure is not None:
+        doc["failure"] = failure
 
 
 @pytest.fixture(scope="module")
@@ -619,6 +568,26 @@ class TestSerialization:
                 lambda doc: doc["snapshots"].append(doc["snapshots"][-1]),
                 "snapshots: 5 records for 4 config times",
             ),
+            (
+                cut_to_two_steps,
+                "snapshots: 3 records for 4 config times and no failure record",
+            ),
+            (
+                lambda doc: cut_to_two_steps(doc, {"step": 0, "time": 0.0, "reason": ""}),
+                "failure.step: 0 is not 2, the last snapshot's index",
+            ),
+            (
+                lambda doc: cut_to_two_steps(doc, {"step": 2, "time": 0.0, "reason": ""}),
+                "failure.time: 0.0 is not config.times[2] = 0.004",
+            ),
+            (
+                lambda doc: doc.update(failure={"step": 2, "time": 0.004, "reason": ""}),
+                "failure.step: 2 is not 3, the last snapshot's index",
+            ),
+            (
+                lambda doc: doc.update(failure={"step": 3, "time": 0.006, "reason": ""}),
+                "failure.step: 3 is not a step of config.times, which has 3",
+            ),
         ],
         ids=[
             "row-without-gate",
@@ -638,6 +607,11 @@ class TestSerialization:
             "diagnostics-dropped",
             "snapshot-dropped",
             "snapshot-extra",
+            "snapshots-cut",
+            "failure-before-last-snapshot",
+            "failure-time-off",
+            "failure-on-intact-run",
+            "failure-past-last-step",
         ],
     )
     def test_malformed_record_exits_1_naming_the_key(self, tmp_path, capsys, traj, edit, message):

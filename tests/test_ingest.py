@@ -5,31 +5,32 @@ import pytest
 
 from varmcf.errors import LoadError
 from varmcf.geometry import plane_distances
-from varmcf.ingest import (
-    RawCloud,
-    ShapeSpec,
-    cloud_to_varifold,
-    estimate_tangent_planes,
-    generate,
-    load,
-    save_varifold_json,
-)
+from varmcf.ingest import ShapeSpec, estimate_tangent_planes, generate, load, save_varifold_json
 
 
 class TestLoad:
     def test_csv_with_masses(self, tmp_path):
-        path = tmp_path / "two.csv"
-        path.write_text("x1,x2,m\n0.0,0.0,1.5\n1.0,2.0,0.5\n")
-        cloud = load(path)
-        assert len(cloud) == 2
-        assert cloud.frames is None
-        assert np.allclose(cloud.masses, [1.5, 0.5])
+        # no frame columns: the planes come from PCA, the masses from the file
+        t = np.arange(6.0)
+        masses = 0.25 * (t + 1.0)
+        path = tmp_path / "line.csv"
+        path.write_text("x1,x2,m\n" + "".join(f"{a},{2.0 * a},{m}\n" for a, m in zip(t, masses)))
+        v = load(path, d=1, k=3)
+        assert len(v) == 6
+        assert np.array_equal(v.masses, masses)
+        assert plane_distances(v.frames, np.array([[1.0, 2.0]]) / np.sqrt(5.0)).max() < 1e-12
+
+    def test_frameless_file_needs_a_plane_dimension(self, tmp_path):
+        path = tmp_path / "line.csv"
+        path.write_text("x1,x2\n" + "".join(f"{a},0\n" for a in range(6)))
+        with pytest.raises(ValueError, match="plane dimension d is required"):
+            load(path)
 
     def test_csv_with_frames(self, tmp_path):
         path = tmp_path / "framed.csv"
         path.write_text("x1,x2,t11,t12,m\n0.0,0.0,1.0,0.0,1.0\n1.0,0.0,0.0,1.0,1.0\n")
-        cloud = load(path)
-        assert cloud.frames.shape == (2, 1, 2)
+        v = load(path)
+        assert v.frames.shape == (2, 1, 2)
 
     def test_malformed_row_names_the_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -45,8 +46,7 @@ class TestLoad:
         v = generate(ShapeSpec("circle", samples=12))
         path = tmp_path / "circle.json"
         save_varifold_json(v, path)
-        cloud = load(path)
-        rebuilt = cloud_to_varifold(cloud)
+        rebuilt = load(path)
         assert np.array_equal(rebuilt.positions, v.positions)
         assert np.array_equal(rebuilt.frames, v.frames)
         assert np.array_equal(rebuilt.masses, v.masses)
@@ -56,7 +56,7 @@ class TestLoad:
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         save_varifold_json(v, first)
-        save_varifold_json(cloud_to_varifold(load(first)), second)
+        save_varifold_json(load(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_slightly_off_frames_are_reorthonormalized(self, tmp_path):
@@ -64,8 +64,8 @@ class TestLoad:
         doc = {"d": 1, "n": 2, "atoms": [{"x": [0.0, 0.0], "frame": frame, "m": 1.0}]}
         path = tmp_path / "off.json"
         path.write_text(json.dumps(doc))
-        cloud = load(path)
-        gram = cloud.frames[0] @ cloud.frames[0].T
+        v = load(path)
+        gram = v.frames[0] @ v.frames[0].T
         assert np.abs(gram - np.eye(1)).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -100,6 +100,21 @@ class TestLoad:
             ({"atoms": 5}, "atoms: expected a list, got 5"),
             ({"atoms": {"a": 1}}, "atoms: expected a list, got {'a': 1}"),
             ({"atoms": [5]}, "atom 0: expected an object, got 5"),
+            ({"atoms": [{"x": []}]}, "atom 0: x: expected a list of numbers, got []"),
+            # frames are checked per atom against len(x) and atom 0, as x is
+            (
+                {"atoms": [{"x": [0, 0], "frame": [[1, 0]]}, {"x": [1, 0], "frame": [[1, 0], [0, 1]]}]},
+                "atom 1: frame: expected 1 rows as on atom 0, got 2",
+            ),
+            (
+                {"atoms": [{"x": [0, 0], "frame": [[1, 0, 0]]}, {"x": [1, 0], "frame": [[1, 0, 0]]}]},
+                "atom 0: frame: expected 1 to 2 rows of 2 numbers, got [[1, 0, 0]]",
+            ),
+            (
+                {"atoms": [{"x": [0, 0], "frame": [[1, 0]]}, {"x": [1, 0], "frame": [1, 0]}]},
+                "atom 1: frame: expected 1 to 2 rows of 2 numbers, got [1, 0]",
+            ),
+            ({"atoms": []}, "no atoms"),
         ],
         ids=[
             "x-string",
@@ -112,6 +127,11 @@ class TestLoad:
             "atoms-number",
             "atoms-object",
             "atom-number",
+            "x-empty",
+            "frame-rows-differ",
+            "frame-too-wide",
+            "frame-not-rows",
+            "no-atoms",
         ],
     )
     def test_malformed_json_atom_names_file_atom_and_key(self, tmp_path, doc, message):
@@ -119,6 +139,24 @@ class TestLoad:
         path.write_text(json.dumps(doc))
         with pytest.raises(LoadError) as info:
             load(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2\n", "no data rows"),
+            (
+                "x1,x2,t11,t12,t21,t22,t31,t32\n0,0,1,0,0,1,0,0\n",
+                "frame columns give 3 rows, more than the 2 coordinates",
+            ),
+        ],
+        ids=["header-only", "frame-rows-beyond-n"],
+    )
+    def test_malformed_csv_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        with pytest.raises(LoadError) as info:
+            load(path, d=1)
         assert str(info.value) == f"{path}: {message}"
 
     def test_badly_off_csv_frame_names_file_and_row(self, tmp_path):
@@ -140,15 +178,14 @@ class TestLoad:
 class TestEstimatePlanes:
     def test_points_on_a_line(self):
         t = np.linspace(0.0, 1.0, 30)
-        cloud = RawCloud(np.stack([t, 2.0 * t], axis=1))
-        v = estimate_tangent_planes(cloud, d=1, k=5)
+        v = estimate_tangent_planes(np.stack([t, 2.0 * t], axis=1), d=1, k=5, masses=np.ones(30))
         direction = np.array([[1.0, 2.0]]) / np.sqrt(5.0)
         assert plane_distances(v.frames, direction).max() < 1e-8
 
     def test_noiseless_circle_tangents(self):
         theta = 2.0 * np.pi * np.arange(200) / 200
-        cloud = RawCloud(np.stack([np.cos(theta), np.sin(theta)], axis=1))
-        v = estimate_tangent_planes(cloud, d=1, k=8)
+        points = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        v = estimate_tangent_planes(points, d=1, k=8, masses=np.ones(200))
         true = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
         angles = np.degrees(np.arcsin(np.minimum(1.0, plane_distances(v.frames, true))))
         assert angles.max() <= 2.0
@@ -156,14 +193,21 @@ class TestEstimatePlanes:
     def test_duplicated_points_are_degenerate(self):
         pts = np.zeros((10, 2))
         with pytest.raises(LoadError, match="degenerate"):
-            estimate_tangent_planes(RawCloud(pts), d=1, k=3)
+            estimate_tangent_planes(pts, d=1, k=3, masses=np.ones(10))
 
     def test_neighbor_count_validation(self):
-        cloud = RawCloud(np.random.default_rng(0).standard_normal((10, 2)))
+        points = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(ValueError):
-            estimate_tangent_planes(cloud, d=1, k=1)
+            estimate_tangent_planes(points, d=1, k=1, masses=np.ones(10))
         with pytest.raises(ValueError):
-            estimate_tangent_planes(cloud, d=1, k=10)
+            estimate_tangent_planes(points, d=1, k=10, masses=np.ones(10))
+
+    def test_plane_dimension_validation(self):
+        # d = 3 in R^2 used to end in an IndexError traceback
+        points = np.random.default_rng(0).standard_normal((10, 2))
+        for d in (0, 3):
+            with pytest.raises(ValueError, match="need 1 <= d <= n"):
+                estimate_tangent_planes(points, d=d, k=8, masses=np.ones(10))
 
     def test_rigid_motion_equivariance(self):
         # generic (jittered) cloud: exact neighbor ties, as on a symmetric
@@ -175,8 +219,8 @@ class TestEstimatePlanes:
         angle = 0.7
         rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         shift = rng.standard_normal(2)
-        v_base = estimate_tangent_planes(RawCloud(pts), d=1, k=6)
-        v_moved = estimate_tangent_planes(RawCloud(pts @ rot.T + shift), d=1, k=6)
+        v_base = estimate_tangent_planes(pts, d=1, k=6, masses=np.ones(64))
+        v_moved = estimate_tangent_planes(pts @ rot.T + shift, d=1, k=6, masses=np.ones(64))
         for j in range(64):
             conjugated = rot @ v_base.projectors()[j] @ rot.T
             assert np.abs(v_moved.projectors()[j] - conjugated).max() <= 1e-8

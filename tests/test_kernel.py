@@ -7,7 +7,6 @@ from varmcf.kernel import (
     CubicCutoff,
     Kernel,
     kernel_bound_check,
-    normalization,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -62,7 +61,7 @@ class TestCutoff:
 
 class TestNormalization:
     def test_small_eps_no_truncation(self):
-        assert normalization(2, 0.05) == pytest.approx(1.0, abs=1e-12)
+        assert Kernel.create(2, 0.05).c_eps == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", DIM_GRID)
     @pytest.mark.parametrize("eps", EPS_GRID)
@@ -71,13 +70,12 @@ class TestNormalization:
         assert 1.0 <= kernel.c_eps <= kernel.cap + 1e-12
 
     def test_matches_frozen_2d_oracle(self):
-        assert normalization(2, 0.5) == pytest.approx(C_EPS_HALF_N2_ORACLE, abs=1e-8)
+        assert Kernel.create(2, 0.5).c_eps == pytest.approx(C_EPS_HALF_N2_ORACLE, abs=1e-8)
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            normalization(2, 1.0)
-        with pytest.raises(ValueError):
-            Kernel.create(2, 0.0)
+        for eps in (1.0, 0.0):
+            with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+                Kernel.create(2, eps)
 
     @pytest.mark.parametrize("n", DIM_GRID)
     @pytest.mark.parametrize("eps", EPS_GRID)
@@ -109,7 +107,7 @@ class TestEval:
         edges = [0.0, 0.25, np.nextafter(0.25, 1.0), 1.0]
         r2 = np.concatenate([np.random.default_rng(2).uniform(0.0, 1.3, 5000), edges])
         r = np.sqrt(r2)
-        p, dp, _ = kernel.cutoff(r)
+        p, dp, _ = CubicCutoff()(r)
         g = (2.0 * math.pi * eps * eps) ** (-n / 2.0) * np.exp(-r2 / (2.0 * eps * eps))
         value = kernel.c_eps * p * g
         slope = np.where(r > 0.0, dp / np.where(r > 0.0, r, 1.0), 0.0)

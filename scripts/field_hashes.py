@@ -103,6 +103,8 @@ CLI_RUNS = (
         ("generate-circle-80", ["generate", "--kind", "circle", "--samples", "80",
                                 "--radius", "0.9", "--out", "c80.json"], ["c80.json"]),
         ("distance-circles", ["distance", "c100.json", "c80.json"], []),
+        # coincident atoms on every node: the transport pairs them at zero cost
+        ("distance-self", ["distance", "c100.json", "c100.json"], []),
         # frameless clouds: the planes come from PCA over 8 neighbours
         ("distance-frameless", ["distance", "cloud_a.csv", "cloud_b.json", "--d", "1"], []),
         ("kernel-check", ["kernel-check", "--n", "2", "--eps", "0.3"], []),

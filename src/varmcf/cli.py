@@ -163,6 +163,8 @@ def cmd_kernel_check(args) -> int:
     from .flow import _to_json
     from .kernel import Kernel, kernel_bound_check
 
+    if args.samples < 1:
+        return _fail(f"samples must be at least 1, got {args.samples}")
     kernel = Kernel.create(args.n, args.eps)
     rng = np.random.default_rng(args.seed)
     # uniform samples in the unit ball, where the bounds are nontrivial

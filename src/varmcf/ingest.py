@@ -108,7 +108,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_json(path: Path) -> tuple[list, list, list]:
+def _load_json(path: Path, d: int | None) -> tuple[list, list, list]:
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -163,6 +163,15 @@ def _load_json(path: Path) -> tuple[list, list, list]:
                 masses.append(float(atom["m"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise LoadError(f"{where}: {exc}") from None
+    # the file's own n and d, when present, must agree with its atoms and with d
+    expected = [("n", len(points[0]), f"atom 0 has {len(points[0])} coordinates")]
+    if frames:
+        expected.append(("d", len(frames[0]), f"atom 0's frame has {len(frames[0])} rows"))
+    elif d is not None:
+        expected.append(("d", d, f"d = {d} was requested"))
+    for key, value, reason in expected:
+        if key in doc and not (_is_number(doc[key]) and doc[key] == value):
+            raise LoadError(f"{path}: {key}: the file gives {doc[key]!r}, but {reason}")
     return points, frames, masses
 
 
@@ -172,18 +181,22 @@ def load(path, d: int | None = None, k: int = 8) -> Varifold:
     Frames, when present, are validated orthonormal (re-orthonormalized
     when off by at most 1e-6, rejected beyond); parse failures name the
     offending row or atom.  A file without frames gets d-dimensional
-    planes from `estimate_tangent_planes` over k neighbors.  Masses
-    default to 1.
+    planes from `estimate_tangent_planes` over k neighbors; a file with
+    frames must have d rows per frame when d is given.  A JSON file's own
+    ``n`` and ``d`` keys, when present, must agree with its atoms and with
+    d.  Masses default to 1.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"input file not found: {path}")
     points, frames, masses = (
-        _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
+        _load_json(path, d) if path.suffix.lower() == ".json" else _load_csv(path)
     )
     points = np.array(points, dtype=float)
     masses = np.array(masses) if masses else np.ones(len(points))
     if frames:
+        if d is not None and d != len(frames[0]):
+            raise LoadError(f"{path}: d: {d} was requested, but the frames have {len(frames[0])} rows")
         return Varifold(len(frames[0]), points.shape[1], points, frames, masses)
     if d is None:
         raise ValueError("plane dimension d is required when the cloud carries no frames")
@@ -414,7 +427,16 @@ def _custom_graph(spec: ShapeSpec) -> Varifold:
         raise ValueError("custom-graph needs a graph specification")
     try:
         vertices = np.asarray(spec.graph["vertices"], dtype=float)
-        edges = [(int(i), int(j)) for i, j in spec.graph["edges"]]
+        edges = spec.graph["edges"]
+        if vertices.ndim != 2 or not vertices.size:
+            raise ValueError(f"vertices: expected a non-empty (V, n) array, got shape {vertices.shape}")
+        if not (isinstance(edges, list) and edges):
+            raise ValueError(f"edges: expected a non-empty list, got {edges!r}")
+        for edge in edges:
+            # type(i) is int rejects bools and floats, which would index silently
+            pair = isinstance(edge, (list, tuple)) and len(edge) == 2
+            if not (pair and all(type(i) is int and 0 <= i < len(vertices) for i in edge)):
+                raise ValueError(f"edge {edge!r}: expected two vertex indices in [0, {len(vertices)})")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid graph specification: {exc}") from None
     n = vertices.shape[1]

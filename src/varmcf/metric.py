@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, sparse
-from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, EngineError
 from .geometry import plane_distances
@@ -46,7 +45,6 @@ __all__ = [
     "bounded_lipschitz_lower_bound",
 ]
 
-DEDUP_TOL = 1e-12
 CONSTRAINT_TOL = 1e-12
 SEED_NEIGHBOURS = 8  # opposite-sign neighbours per node in the first round
 PRICED_PER_SOURCE = 4  # most negative reduced costs added per source and round
@@ -57,7 +55,7 @@ HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tol
 
 @dataclass(frozen=True)
 class SupportProblem:
-    """Finite program data on the deduplicated union of two supports."""
+    """Finite program data on the atoms of V followed by those of W."""
 
     positions: np.ndarray  # (K, n)
     frames: np.ndarray  # (K, d, n)
@@ -77,51 +75,22 @@ def _check_compatible(v: Varifold, w: Varifold) -> None:
 
 
 def build_support_problem(v: Varifold, w: Varifold) -> SupportProblem:
-    """Union support with signed weights and the pairwise ground metric.
+    """V's atoms followed by W's, with signed weights and the pairwise ground metric.
 
-    Atoms whose positions and projectors agree within 1e-12 (entrywise) are
-    merged: in input order (V, then W), each atom joins the first kept atom
-    it matches, and weights add for V and subtract for W.
+    Coincident atoms stay separate nodes; their ground distance is 0, so
+    the transport moves mass between them at no cost.
     """
     _check_compatible(v, w)
-    n, d = v.n, v.d
-    positions = np.concatenate([v.positions, w.positions])
-    frames = np.concatenate([v.frames, w.frames])
-    signed = np.concatenate([v.masses, -w.masses])
-    count = positions.shape[0]
-    if count == 0:
-        return SupportProblem(np.zeros((0, n)), np.zeros((0, d, n)), np.zeros(0), np.zeros((0, 0)))
-
-    # candidate pairs (i < j) by position, then the projector test on those only
-    pairs = cKDTree(positions).query_pairs(DEDUP_TOL, p=np.inf, output_type="ndarray")
-    target = np.arange(count)
-    if pairs.size:
-        i, j = pairs[:, 0], pairs[:, 1]
-        proj_i = np.einsum("jdi,jdk->jik", frames[i], frames[i])
-        proj_j = np.einsum("jdi,jdk->jik", frames[j], frames[j])
-        match = np.abs(proj_i - proj_j).max(axis=(1, 2)) <= DEDUP_TOL
-        i, j = i[match], j[match]
-        order = np.lexsort((i, j))
-        # a kept atom's status is final before any later atom is tested against it
-        for a, b in zip(i[order].tolist(), j[order].tolist()):
-            if target[b] == b and target[a] == a:
-                target[b] = a
-    kept = np.flatnonzero(target == np.arange(count))
-    slot = np.zeros(count, dtype=int)
-    slot[kept] = np.arange(kept.size)
-    weights = np.zeros(kept.size)
-    np.add.at(weights, slot[target], signed)
-
-    pos = positions[kept]
-    frm = frames[kept]
-    k = kept.size
+    pos = np.concatenate([v.positions, w.positions])
+    frm = np.concatenate([v.frames, w.frames])
+    weights = np.concatenate([v.masses, -w.masses])
+    k = pos.shape[0]
     dist = np.empty((k, k))
-    chunk = max(1, 2_000_000 // (k * d * n))
+    chunk = max(1, 2_000_000 // max(1, k * v.d * v.n))
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
         spatial = np.linalg.norm(pos[lo:hi, None, :] - pos[None, :, :], axis=2)
         dist[lo:hi] = spatial + plane_distances(frm[lo:hi, None], frm[None, :])
-    np.fill_diagonal(dist, 0.0)
     return SupportProblem(pos, frm, weights, dist)
 
 

@@ -189,7 +189,17 @@ class TestGenerateAndDistance:
         assert main(["distance", str(out), str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["distance"] == pytest.approx(0.0, abs=1e-10)
-        assert report["support_size"] == 16
+        assert report["support_size"] == 32
+        assert report["bracket"] == [0.0, 0.0]
+
+    def test_plane_dimension_contradicting_the_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["generate", "--kind", "circle", "--samples", "24", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["distance", str(out), str(out), "--d", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{out}: d: 2 was requested, but the frames have 1 rows" in err
+        assert "Traceback" not in err
 
     def test_dirac_pair_closed_form(self, tmp_path, capsys):
         gap = 1.3
@@ -224,6 +234,30 @@ class TestGenerateAndDistance:
         captured = capsys.readouterr()
         assert "saturates" in captured.err
         assert json.loads(captured.out)["distance"] == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"vertices": [[0, 0], [1, 0]], "edges": [[0, 5]]}, "edge [0, 5]: expected two vertex indices in [0, 2)"),
+            ({"vertices": [[0, 0], [1, 0]], "edges": [[0, -1]]}, "edge [0, -1]: expected two vertex indices in [0, 2)"),
+            ({"vertices": [[0, 0], [1, 0]], "edges": [[0, 1.0]]}, "edge [0, 1.0]: expected two vertex indices in [0, 2)"),
+            ({"vertices": [[0, 0], [1, 0]], "edges": []}, "edges: expected a non-empty list, got []"),
+            ({"vertices": [0, 1], "edges": [[0, 1]]}, "vertices: expected a non-empty (V, n) array, got shape (2,)"),
+        ],
+        ids=["index-past-end", "index-negative", "index-float", "no-edges", "flat-vertices"],
+    )
+    def test_malformed_graph_exits_1(self, tmp_path, capsys, graph, message):
+        shape = {"kind": "custom-graph", "samples": 10, "graph": graph}
+        path, _ = run_config(tmp_path, input={"shape": shape})
+        runs = [
+            ["generate", "--kind", "custom-graph", "--samples", "10", "--graph", json.dumps(graph),
+             "--out", str(tmp_path / "g.json")],
+            ["evolve", str(path)],
+        ]
+        for argv in runs:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"error: invalid graph specification: {message}" in err and "Traceback" not in err
 
     def test_generated_shapes_cover_all_kinds(self, tmp_path):
         kinds = {
@@ -307,6 +341,12 @@ class TestKernelCheck:
         assert main(["kernel-check", "--n", "2", "--eps", "1.0"]) == 1
         assert "error: eps must lie in (0, 1), got 1.0" in capsys.readouterr().err
         assert main(["kernel-check", "--n", "0", "--eps", "0.3"]) == 1
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_exits_1(self, capsys, samples):
+        assert main(["kernel-check", "--n", "2", "--eps", "0.3", "--samples", str(samples)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: samples must be at least 1, got {samples}" in err and "Traceback" not in err
 
 
 class TestDiagnose:

@@ -115,6 +115,27 @@ class TestLoad:
                 "atom 1: frame: expected 1 to 2 rows of 2 numbers, got [1, 0]",
             ),
             ({"atoms": []}, "no atoms"),
+            # the file's n and d, and the requested d = 1, must agree with the atoms
+            (
+                {"d": 2, "n": 2, "atoms": [{"x": [0, 0], "frame": [[1, 0]]}]},
+                "d: the file gives 2, but atom 0's frame has 1 rows",
+            ),
+            (
+                {"d": "1", "n": 2, "atoms": [{"x": [0, 0], "frame": [[1, 0]]}]},
+                "d: the file gives '1', but atom 0's frame has 1 rows",
+            ),
+            (
+                {"d": 1, "n": 3, "atoms": [{"x": [0, 0], "frame": [[1, 0]]}]},
+                "n: the file gives 3, but atom 0 has 2 coordinates",
+            ),
+            (
+                {"atoms": [{"x": [0, 0, 0], "frame": [[1, 0, 0], [0, 1, 0]]}]},
+                "d: 1 was requested, but the frames have 2 rows",
+            ),
+            (
+                {"d": 2, "n": 2, "atoms": [{"x": [0, 0]}, {"x": [1, 0]}]},
+                "d: the file gives 2, but d = 1 was requested",
+            ),
         ],
         ids=[
             "x-string",
@@ -132,13 +153,18 @@ class TestLoad:
             "frame-too-wide",
             "frame-not-rows",
             "no-atoms",
+            "file-d-vs-frame",
+            "file-d-string",
+            "file-n-vs-x",
+            "requested-d-vs-frame",
+            "file-d-vs-requested-d",
         ],
     )
     def test_malformed_json_atom_names_file_atom_and_key(self, tmp_path, doc, message):
         path = tmp_path / "cloud.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(LoadError) as info:
-            load(path)
+            load(path, d=1)
         assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from varmcf.errors import DimensionMismatch
 from varmcf.ingest import ShapeSpec, generate
 from varmcf.metric import (
+    SupportProblem,
     _solve_support_lp,
     bl_distance_detail,
     bounded_lipschitz_distance,
@@ -73,6 +74,12 @@ class TestClosedForms:
         w = dirac([0.0, 0.0], angle=np.pi / 2)
         # same position, orthogonal lines: ground distance is 1
         assert bounded_lipschitz_distance(v, w) == pytest.approx(1.0, abs=1e-9)
+
+    def test_coincident_atoms_against_one_atom(self):
+        # 0.5 + 0.25 at one point against 0.5 there: only the surplus 0.25 pays
+        v = Varifold(1, 2, np.zeros((2, 2)), np.tile(np.eye(1, 2), (2, 1, 1)), [0.5, 0.25])
+        w = dirac([0.0, 0.0], mass=0.5)
+        assert bounded_lipschitz_distance(v, w) == pytest.approx(0.25, abs=1e-12)
 
     def test_dimension_mismatch(self):
         v = dirac([0.0, 0.0])
@@ -184,22 +191,17 @@ class TestSupportProblem:
         problem = build_support_problem(random_varifold(rng, 6), random_varifold(rng, 5))
         d = problem.distances
         assert np.abs(d - d.T).max() <= 1e-12
+        assert np.all(np.diag(d) == 0.0)
         k = problem.size
         for i in range(k):
             for j in range(k):
                 assert d[i, j] <= d[i].max() * 2 + 1e-9  # finite
                 assert np.all(d[i, j] <= d[i] + d[:, j] + 1e-9)
 
-    def test_dedup_merges_coincident_atoms(self):
-        v = Varifold(1, 2, np.zeros((2, 2)), np.tile(np.eye(1, 2), (2, 1, 1)), [0.5, 0.25])
-        w = dirac([0.0, 0.0], mass=0.5)
-        problem = build_support_problem(v, w)
-        assert problem.size == 1
-        assert problem.weights[0] == pytest.approx(0.25)
-
 
 def dense_support_reference(v, w, tol=1e-12):
-    """Greedy O(K^2) merge and n x n SVDs of projector differences."""
+    """Support with coincident atoms merged by hand: greedy O(K^2) merge and
+    n x n SVDs of projector differences."""
     positions, frames, projectors, weights = [], [], [], []
     for source, sign in ((v, 1.0), (w, -1.0)):
         projs = source.projectors()
@@ -232,6 +234,9 @@ def tilted(frame, angle):
 
 
 class TestSupportBuildAgainstDenseReference:
+    """Coincident atoms stay separate nodes; the transport must give the
+    distance of the hand-merged support."""
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_planted_duplicates(self, d):
         rng = np.random.default_rng(100 + d)
@@ -265,14 +270,12 @@ class TestSupportBuildAgainstDenseReference:
         count = len(w_pos)
         w = Varifold(d, n, np.stack(w_pos), np.stack(w_frm), rng.random(count) + 0.1)
 
-        problem = build_support_problem(v, w)
-        pos, frm, wts, dist = dense_support_reference(v, w)
+        merged = SupportProblem(*dense_support_reference(v, w))
         # 3 within V, 1 in the chain, 3 shared and the two 0.5e-12 near-duplicates
-        assert problem.size == len(v) + len(w) - 9
-        assert np.array_equal(problem.positions, pos)
-        assert np.array_equal(problem.frames, frm)
-        assert np.array_equal(problem.weights, wts)
-        assert np.abs(problem.distances - dist).max() <= 1e-12
+        assert merged.size == len(v) + len(w) - 9
+        detail = assert_certified(v, w)
+        assert detail["support_size"] == len(v) + len(w)
+        assert detail["distance"] == pytest.approx(dense_dual_lp(merged), abs=1e-10)
 
 
 class TestLowerBound:
@@ -357,7 +360,7 @@ def assert_certified(v, w):
     assert float(np.dot(problem.weights, phi)) == lower
 
     def witness(x, frame):
-        # support nodes are unique in (position, frame) after merging
+        # coincident nodes share a row of the ground metric, hence their phi
         at = (problem.positions == x).all(axis=1) & (problem.frames == frame).all(axis=(1, 2))
         return phi[np.flatnonzero(at)[0]]
 
@@ -436,7 +439,8 @@ class TestTransportAgainstDenseReference:
             masses,
         )
         problem = build_support_problem(v, w)
-        assert np.count_nonzero(problem.weights == 0.0) == 10
+        # the shared atoms stay separate nodes, paired at zero ground distance
+        assert problem.size == len(v) + len(w)
         self.check(v, w)
 
     def test_empty_w(self):

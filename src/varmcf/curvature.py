@@ -23,11 +23,10 @@ each atom's velocity and differential as one small matrix product.  The
 cells give the dissipation, so the discrete identity
 ``sum_j m_j tr(P_j Dh_j) = -dissipation`` holds up to rounding.
 
-The inner sums are cut at r, where the Gaussian factor of the kernel is
-below 4e-6 of its peak; the point evaluators (`smoothed_mass`,
-`smoothed_first_variation`, `raw_curvature`) sum over every atom.  All
-sums run in a fixed order whatever the thread count, so results are
-deterministic.
+The inner sums are cut at r (`QuadratureSpec` states the error of the
+cut); the point evaluators (`smoothed_mass`, `smoothed_first_variation`,
+`raw_curvature`) sum over every atom.  All sums run in a fixed order
+whatever the thread count, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -80,8 +79,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_axis < 4:
             raise ValueError("points_per_axis must be >= 4")
-        if self.domain_radius_factor < 4.0:
-            raise ValueError("domain_radius_factor must be >= 4")
+        if not (math.isfinite(self.domain_radius_factor) and self.domain_radius_factor >= 4.0):
+            raise ValueError(
+                f"domain_radius_factor must be finite and >= 4, got {self.domain_radius_factor}"
+            )
 
     def refined(self, factor: int = 2) -> "QuadratureSpec":
         """Same spec with ``factor`` times as many points per axis."""
@@ -169,11 +170,11 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     ``BLOCK_CANDIDATES``, which yields the same blocks each time it runs.
     Each block is ``(atoms, diff, ids)``: the atom indices,
     ``diff[b, :, s] = x_j - z`` for atom ``j = atoms[b]`` and its candidate
-    cell z, and the cells' linear ids; `_weights` gives the candidates'
-    kernel values.  Blocks take the atoms in the lattice order of their
-    nearest cells, so a block's cells lie close together.  The id of a
-    candidate off the lattice wraps into another row or is clipped to the
-    lattice, but such a cell is more than ``r + h / 2`` from the atom.
+    cell z, and the cells' linear ids; ``diff`` is C-contiguous.  Blocks
+    take the atoms in the lattice order of their nearest cells, so a
+    block's cells lie close together.  The id of a candidate off the
+    lattice wraps into another row or is clipped to the lattice, but such a
+    cell is more than ``r + h / 2`` from the atom.
 
     Raises QuadratureBudgetExceeded when the lattice exceeds
     ``spec.max_nodes`` cells.
@@ -194,10 +195,11 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
 
     reach = radius / h + 0.5 * math.sqrt(n)
     width = math.floor(reach)
-    offsets = np.indices((2 * width + 1,) * n).reshape(n, -1).T - width
-    offsets = offsets[np.einsum("si,si->s", offsets, offsets) <= reach * reach]
+    # a column mask returns Fortran order; C order puts the stencil at unit stride
+    grid = np.indices((2 * width + 1,) * n).reshape(n, -1) - width
+    offsets = np.ascontiguousarray(grid[:, np.einsum("is,is->s", grid, grid) <= reach * reach])
     strides = np.array([math.prod(counts[i + 1:].tolist()) for i in range(n)], dtype=np.intp)
-    steps, shifts, base = h * offsets.T, offsets @ strides, nearest @ strides
+    steps, shifts, base = h * offsets, strides @ offsets, nearest @ strides
 
     def blocks():
         per_block = max(1, BLOCK_CANDIDATES // shifts.size)
@@ -209,18 +211,6 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
             yield atoms, diff, ids
 
     return cells, h, blocks
-
-
-def _weights(kernel: Kernel, radius: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel value and slope at the squared distances r2, zero beyond ``radius``.
-
-    ``grad-Phi(x - z) = slope (x - z)``.
-    """
-    val, slope = kernel._value_and_grad_scalar(r2)
-    outside = r2 > radius**2
-    val[outside] = 0.0
-    slope[outside] = 0.0
-    return val, slope
 
 
 def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> CurvatureField:
@@ -257,7 +247,7 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
         pairs += int(np.count_nonzero(r2 <= radius**2))
         if pairs > spec.max_nodes:
             raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {spec.max_nodes}")
-        val, slope = _weights(kernel, radius, r2)
+        val, slope = kernel._value_and_grad_scalar(r2, radius)
         kept.append((val, slope))
         first = int(ids.min())
         local = (ids - first).reshape(-1)

@@ -57,6 +57,8 @@ class Subdivision:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("a subdivision needs at least two times")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("subdivision times must be finite")
         if times[0] != 0.0:
             raise ValueError("subdivisions start at 0")
         if np.any(np.diff(times) <= 0.0):
@@ -74,6 +76,8 @@ class Subdivision:
     def uniform(cls, steps: int, horizon: float = 1.0) -> "Subdivision":
         if steps < 1:
             raise ValueError("need at least one step")
+        if not math.isfinite(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon}")
         return cls(horizon * np.arange(steps + 1) / steps)
 
     @classmethod

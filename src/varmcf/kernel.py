@@ -201,24 +201,28 @@ class Kernel:
         r2 = np.einsum("pi,pi->p", points, points)
         return self._value_and_grad_scalar(r2)[0]
 
-    def _value_and_grad_scalar(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel value and the scalar s(r) with grad(x) = s(|x|) x.
+    def _value_and_grad_scalar(
+        self, r2: np.ndarray, radius: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel value and the scalar s(r) with grad(x) = s(|x|) x, cut at ``radius``.
 
-        Operates on squared radii: the cutoff terms, and their square
-        roots, are evaluated only for radii in (1/2, 1).  Inside 1/2 the
-        cutoff is 1 with zero slope and from 1 on it is 0, so there the
-        value and s follow without it; s is finite everywhere.
+        Operates on squared radii.  For ``radius <= 1`` the value and s are
+        +0.0 where ``r2 > radius**2`` and, the cutoff being 0 there, where
+        ``r2 >= 1``.  The cutoff terms and their square roots are evaluated
+        only for r2 in ``(1/4, radius**2]``, so never when ``radius <= 1/2``:
+        inside 1/2 the cutoff is 1 with zero slope, so there the value and s
+        follow without it.  s is finite everywhere.
         """
         eps2 = self.eps * self.eps
+        limit = radius**2
         gauss = _gaussian(r2, self.eps, self.n)
-        cut = np.flatnonzero((r2 > 0.25) & (r2 < 1.0))
-        gc = gauss.take(cut)
-        val = np.multiply(gauss, self.c_eps, out=gauss)
-        val[r2 >= 1.0] = 0.0
+        val = gauss * self.c_eps
+        val[r2 > limit] = 0.0
         s = val / -eps2
         s += 0.0  # a zero value gets the slope +0.0, as from the cutoff term
-        if cut.size:
-            r = np.sqrt(r2.take(cut))
+        if limit > 0.25:
+            cut = np.flatnonzero((r2 > 0.25) & (r2 <= limit))
+            r, gc = np.sqrt(r2.take(cut)), gauss.take(cut)
             p, dp = _CUTOFF.profile(r)
             vc = self.c_eps * p * gc
             val.put(cut, vc)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -144,6 +145,29 @@ class TestEvolve:
         assert main(["evolve", str(path)]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flow, message",
+        [
+            ({"eps": 0.1, "times": [0, math.inf]}, "subdivision times must be finite"),
+            ({"eps": 0.1, "times": [0, 0.001, math.nan]}, "subdivision times must be finite"),
+            ({"eps": 0.1, "horizon": math.inf, "steps": 4}, "horizon must be finite, got inf"),
+            (
+                {"eps": 0.1, "steps": 4, "quadrature": {"domain_radius_factor": math.nan}},
+                "domain_radius_factor must be finite and >= 4, got nan",
+            ),
+        ],
+        ids=["times-inf", "times-nan", "horizon-inf", "radius-factor-nan"],
+    )
+    def test_non_finite_numbers_exit_1_before_any_step(
+        self, tmp_path, capsys, recwarn, flow, message
+    ):
+        path, config = run_config(tmp_path, flow=flow)
+        assert main(["evolve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not Path(config["outputs"]["trajectory"]).exists()
 
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         path, _ = run_config(tmp_path, schema=99)
@@ -324,6 +348,21 @@ class TestRefineStudy:
         assert main(["refine-study", str(tmp_path / "rs.json")]) == 1
         err = capsys.readouterr().err
         assert "config.levels: first level above last" in err and "Traceback" not in err
+
+    def test_non_finite_horizon_exits_1(self, tmp_path, capsys, recwarn):
+        config = {
+            "schema": 1,
+            "input": {"shape": {"kind": "circle", "samples": 24}},
+            "eps": 0.1,
+            "levels": [1, 2],
+            "horizon": math.nan,
+        }
+        (tmp_path / "rs.json").write_text(json.dumps(config))
+        assert main(["refine-study", str(tmp_path / "rs.json")]) == 1
+        captured = capsys.readouterr()
+        assert "horizon must be finite, got nan" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestKernelCheck:

@@ -4,7 +4,6 @@ import pytest
 from varmcf.curvature import (
     QuadratureSpec,
     _lattice,
-    _weights,
     curvature_field,
     dissipation,
     raw_curvature,
@@ -107,7 +106,8 @@ def lattice_reference(v, kernel, spec):
 
 def block_values(kernel, spec, diff):
     """The kernel values `curvature_field` weighs a block's candidates with."""
-    val, _ = _weights(kernel, spec.radius(kernel.eps), np.einsum("bis,bis->bs", diff, diff))
+    r2 = np.einsum("bis,bis->bs", diff, diff)
+    val, _ = kernel._value_and_grad_scalar(r2, spec.radius(kernel.eps))
     return val
 
 
@@ -175,13 +175,31 @@ class TestStencilAgainstBruteForce:
         listed = weighted_pairs(v, kernel, spec)
         assert len(listed) == len(set(listed)) and set(listed) == pairs
 
+    @pytest.mark.parametrize(
+        "make, eps",
+        [
+            (lambda: circle(100), 0.1),
+            (lambda: generate(ShapeSpec("sphere", samples=100)), 0.2),
+            (lambda: space_curve(60), 0.2),
+        ],
+        ids=["circle-n2", "sphere-n3", "curve-n3"],
+    )
+    def test_block_differences_are_c_contiguous(self, make, eps):
+        # the stencil axis is the last, so the field's passes run at unit stride
+        v = make()
+        kernel = Kernel.create(v.n, eps)
+        _, _, blocks = _lattice(v, kernel, QuadratureSpec())
+        for _, diff, _ in blocks():
+            assert diff.flags.c_contiguous
+
 
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(points_per_axis=2)
-        with pytest.raises(ValueError):
-            QuadratureSpec(domain_radius_factor=1.0)
+        for factor in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="domain_radius_factor"):
+                QuadratureSpec(domain_radius_factor=factor)
 
     def test_lattice_weights_integrate_the_kernel(self):
         # the cells weighted for a single atom integrate the kernel; at
@@ -409,9 +427,9 @@ class TestCurvatureField:
         evaluated = []
         evaluate = Kernel._value_and_grad_scalar
 
-        def counting(self, r2):
+        def counting(self, r2, *args):
             evaluated.append(np.size(r2))
-            return evaluate(self, r2)
+            return evaluate(self, r2, *args)
 
         monkeypatch.setattr(Kernel, "_value_and_grad_scalar", counting)
         curvature_field(v, kernel, spec)

@@ -115,6 +115,31 @@ class TestEval:
         assert np.array_equal(val, value)
         assert np.array_equal(s, -value / (eps * eps) + kernel.c_eps * g * slope)
 
+    @pytest.mark.parametrize("radius", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_radius_cut_zeroes_exactly_beyond_the_radius(self, n, radius):
+        # the reference: the uncut evaluation with value and slope set to
+        # +0.0 where r2 > radius**2, bit for bit and with the sign of zero
+        kernel = Kernel.create(n, 0.15)
+        limit = radius**2
+        edges = [
+            0.25,
+            np.nextafter(0.25, 1.0),
+            limit,
+            np.nextafter(limit, 0.0),
+            np.nextafter(limit, 2.0),
+            1.0,
+        ]
+        r2 = np.concatenate([np.random.default_rng(3).uniform(0.0, 1.3, 5000), edges])
+        val, s = kernel._value_and_grad_scalar(r2)
+        outside = r2 > limit
+        val[outside] = 0.0
+        s[outside] = 0.0
+        cut_val, cut_s = kernel._value_and_grad_scalar(r2, radius)
+        for got, want in ((cut_val, val), (cut_s, s)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_radial_symmetry_and_positivity(self):
         kernel = Kernel.create(3, 0.4)
         rng = np.random.default_rng(1)

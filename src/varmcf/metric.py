@@ -42,7 +42,6 @@ __all__ = [
     "build_support_problem",
     "bounded_lipschitz_distance",
     "bl_distance_detail",
-    "bounded_lipschitz_lower_bound",
 ]
 
 CONSTRAINT_TOL = 1e-12
@@ -55,12 +54,16 @@ HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tol
 
 @dataclass(frozen=True)
 class SupportProblem:
-    """Finite program data on the atoms of V followed by those of W."""
+    """Finite program data on the atoms of V followed by those of W.
+
+    ``to_sinks[i, j]`` is the ground distance from node i to the j-th sink,
+    the sinks being the nodes with ``weights < 0``, both in support order.
+    """
 
     positions: np.ndarray  # (K, n)
     frames: np.ndarray  # (K, d, n)
     weights: np.ndarray  # (K,), signed masses of V - W
-    distances: np.ndarray  # (K, K) ground metric
+    to_sinks: np.ndarray  # (K, q) ground metric to the q sinks
 
     @property
     def size(self) -> int:
@@ -75,23 +78,25 @@ def _check_compatible(v: Varifold, w: Varifold) -> None:
 
 
 def build_support_problem(v: Varifold, w: Varifold) -> SupportProblem:
-    """V's atoms followed by W's, with signed weights and the pairwise ground metric.
+    """V's atoms followed by W's, with signed weights and the distances to the sinks.
 
-    Coincident atoms stay separate nodes; their ground distance is 0, so
-    the transport moves mass between them at no cost.
+    ``to_sinks`` has K·q entries: row i holds node i's ground distance to
+    each sink (W's atoms of positive mass), in support order.  Coincident
+    atoms stay separate nodes at ground distance 0, so the transport moves
+    mass between them at no cost.
     """
     _check_compatible(v, w)
     pos = np.concatenate([v.positions, w.positions])
     frm = np.concatenate([v.frames, w.frames])
     weights = np.concatenate([v.masses, -w.masses])
-    k = pos.shape[0]
-    dist = np.empty((k, k))
-    chunk = max(1, 2_000_000 // max(1, k * v.d * v.n))
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        spatial = np.linalg.norm(pos[lo:hi, None, :] - pos[None, :, :], axis=2)
-        dist[lo:hi] = spatial + plane_distances(frm[lo:hi, None], frm[None, :])
-    return SupportProblem(pos, frm, weights, dist)
+    snk = np.flatnonzero(weights < 0.0)
+    to_sinks = np.empty((len(pos), snk.size))
+    chunk = max(1, 2_000_000 // max(1, snk.size * v.d * v.n))
+    for lo in range(0, len(pos), chunk):
+        rows = slice(lo, lo + chunk)
+        spatial = np.linalg.norm(pos[rows, None, :] - pos[None, snk, :], axis=2)
+        to_sinks[rows] = spatial + plane_distances(frm[rows, None], frm[None, snk])
+    return SupportProblem(pos, frm, weights, to_sinks)
 
 
 def _smallest_per_row(values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,21 +123,22 @@ def _solve_support_lp(problem: SupportProblem) -> tuple[float, np.ndarray, int]:
     negative columns per source are added, until none is below
     -CONSTRAINT_TOL.
 
-    The returned test function is the c-transform of the final sink duals,
+    The costs are the source rows of ``problem.to_sinks``.  The returned
+    test function is the c-transform of the final sink duals,
     ``phi_i = clip(min_j (-z_j + d_ij), -1, 1)`` over the sinks j, taken on
-    every support node: it is 1-Lipschitz by the triangle inequality, so
-    ``w . phi`` bounds the optimum from below, while the returned value is
-    the cost of the final flow, a bound from above.
+    every support node from its row of ``to_sinks``: it is 1-Lipschitz by
+    the triangle inequality, so ``w . phi`` bounds the optimum from below,
+    while the returned value is the cost of the final flow, a bound from
+    above.
     Returns (flow cost, phi, pricing rounds).
     """
-    k = problem.size
     w = problem.weights
     src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
     if src.size + snk.size == 0:
-        return 0.0, np.zeros(k), 0
+        return 0.0, np.zeros(problem.size), 0
     p, q = src.size, snk.size
     nodes = p + q
-    cost = problem.distances[np.ix_(src, snk)]
+    cost = problem.to_sinks[src]
     rows_a, cols_a = _smallest_per_row(cost, SEED_NEIGHBOURS)
     cols_b, rows_b = _smallest_per_row(cost.T, SEED_NEIGHBOURS)
     seeds = np.unique(np.concatenate([rows_a * q + cols_a, rows_b * q + cols_b]))
@@ -184,7 +190,7 @@ def _solve_support_lp(problem: SupportProblem) -> tuple[float, np.ndarray, int]:
         flow *= (part / np.maximum(carried, part))[node]
     left = supply - np.concatenate([np.bincount(i, flow, minlength=p), np.bincount(j, flow, minlength=q)])
     upper = float(cost[i, j] @ flow + left.sum())
-    transform = np.min(problem.distances[:, snk] - z, axis=1, initial=np.inf)
+    transform = np.min(problem.to_sinks - z, axis=1, initial=np.inf)
     return upper, np.clip(transform, -1.0, 1.0), rounds
 
 
@@ -208,28 +214,3 @@ def bl_distance_detail(v: Varifold, w: Varifold) -> dict:
         "iterations": rounds,
         "bracket": [float(np.dot(problem.weights, phi)), value],
     }
-
-
-def bounded_lipschitz_lower_bound(v: Varifold, w: Varifold, phi) -> float:
-    """Certified lower bound from an explicit test function.
-
-    ``phi(position, frame)``, with the node's ``(d, n)`` frame, is evaluated
-    on the union support and checked feasible (values in [-1, 1], pairwise
-    Lipschitz with respect to the ground metric); the witness value
-    ``|sum_i w_i phi_i|`` then bounds the distance from below.
-    """
-    problem = build_support_problem(v, w)
-    if problem.size == 0:
-        return 0.0
-    values = np.array([float(phi(x, f)) for x, f in zip(problem.positions, problem.frames)])
-    if np.any(np.abs(values) > 1.0 + 1e-9):
-        raise ValueError("witness is infeasible: values exceed the unit sup bound")
-    # pairs i < j, in row blocks of about a million entries
-    k = problem.size
-    rows = max(1, 1_000_000 // k)
-    for lo in range(0, k, rows):
-        block = slice(lo, lo + rows)
-        slack = np.abs(values[block, None] - values[None, lo:]) - problem.distances[block, lo:]
-        if float(np.triu(slack, 1).max()) > 1e-9:
-            raise ValueError("witness is infeasible: Lipschitz constraint violated on the support")
-    return float(abs(np.dot(problem.weights, values)))

@@ -180,9 +180,11 @@ def push_forward(
     Jacobian.  The atom count never changes.
 
     The sampled diffeomorphism certificate ``tau * max_j |Df_j| <= safety``
-    is enforced first (the true supremum over R^n is not observable from
-    samples); violations raise :class:`CertificateViolation` without
-    touching any state.
+    is enforced first; violations raise :class:`CertificateViolation`
+    without touching any state.  It sees Df at the atoms only, so a map
+    that passes can still fold between them.  For a curvature field the
+    sup over R^n can be computed from its quadrature lattice, but this
+    code does not compute it.
     """
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")

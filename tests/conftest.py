@@ -16,6 +16,17 @@ def random_frame(rng, d, n):
     return q.T
 
 
+def ground_metric(pos_a, prj_a, pos_b, prj_b):
+    """The ground metric between two node lists, built without varmcf's plane algebra.
+
+    Entry (i, j) is ``|x_i - y_j|`` plus the top singular value of the
+    projector difference ``P_i - Q_j``, for positions ``(a, n)``, ``(b, n)``
+    and projectors ``(a, n, n)``, ``(b, n, n)``.
+    """
+    spatial = np.linalg.norm(pos_a[:, None] - pos_b[None], axis=2)
+    return spatial + np.linalg.svd(prj_a[:, None] - prj_b[None], compute_uv=False)[..., 0]
+
+
 # Heavy shared runs for the acceptance criteria, computed once per session.
 
 

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_flow import ConstantTest
 
 import varmcf
 from varmcf.cli import main
-from varmcf.flow import read_trajectory_json
+from varmcf.flow import brakke_residual, read_trajectory_json
 
 
 def run_config(tmp_path, **overrides):
@@ -400,3 +401,20 @@ class TestDiagnose:
         assert report["budget_within_initial_mass"] is True
         assert report["brakke_residual_constant"] < 1e-6
         assert report["mass_decay_residual"] <= 5.0 * report["max_step"] * report["horizon"]
+
+    def test_reads_the_rows_without_rebuilding_a_field(self, tmp_path, capsys, monkeypatch):
+        path, config = run_config(tmp_path)
+        assert main(["evolve", str(path)]) == 0
+        capsys.readouterr()
+        saved = config["outputs"]["trajectory"]
+        traj = read_trajectory_json(saved)
+        expected = brakke_residual(traj, ConstantTest(), traj.times[0], traj.times[-1])
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("diagnose rebuilt a curvature field")
+
+        monkeypatch.setattr("varmcf.flow.curvature_field", no_field)
+        monkeypatch.setattr("varmcf.curvature.curvature_field", no_field)
+        assert main(["diagnose", saved]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["brakke_residual_constant"] == expected

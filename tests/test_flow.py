@@ -7,7 +7,6 @@ from varmcf.cli import main
 from varmcf.curvature import QuadratureSpec, curvature_field
 from varmcf.errors import CertificateViolation, ConfigError, EngineError
 from varmcf.flow import (
-    ConstantTest,
     FailureRecord,
     FlowConfig,
     GaussianBump,
@@ -41,6 +40,19 @@ def one_step(v, eps, tau, quadrature=FAST_QUAD):
 
 def circle(n_atoms, radius=1.0):
     return generate(ShapeSpec("circle", samples=n_atoms, radius=radius))
+
+
+class ConstantTest:
+    """phi(x, t) = c."""
+
+    def __init__(self, c: float = 1.0):
+        self.c = float(c)
+
+    def value(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.full(x.shape[0], self.c)
+
+    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.zeros_like(x)
 
 
 class TestSubdivision:

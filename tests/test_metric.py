@@ -1,16 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import random_frame
+from conftest import ground_metric, random_frame
 from scipy.optimize import linear_sum_assignment, linprog
 
 from varmcf.errors import DimensionMismatch
 from varmcf.ingest import ShapeSpec, generate
 from varmcf.metric import (
-    SupportProblem,
     _solve_support_lp,
     bl_distance_detail,
     bounded_lipschitz_distance,
-    bounded_lipschitz_lower_bound,
     build_support_problem,
 )
 from varmcf.varifold import Varifold
@@ -39,9 +39,7 @@ def assignment_oracle(v, w):
     c = v.masses[0]
     assert np.allclose(v.masses, c) and np.allclose(w.masses, c)
     p, q = len(v), len(w)
-    problem = build_support_problem(v, w)
-    # ground distances between v atoms and w atoms, in support order (v first)
-    dist = problem.distances[:p, p:]
+    dist = ground_metric(v.positions, v.projectors(), w.positions, w.projectors())
     size = p + q
     cost = np.zeros((size, size))
     cost[:p, :q] = c * np.minimum(2.0, dist)
@@ -187,16 +185,40 @@ class TestSupportProblem:
         assert problem.weights.sum() == pytest.approx(v.mass() - w.mass(), abs=1e-12)
 
     def test_distances_symmetric_triangle(self):
-        rng = np.random.default_rng(6)
-        problem = build_support_problem(random_varifold(rng, 6), random_varifold(rng, 5))
-        d = problem.distances
+        # against itself, V's atoms are the sinks, so the top block of
+        # to_sinks is the V x V ground metric
+        v = random_varifold(np.random.default_rng(6), 6)
+        problem = build_support_problem(v, v)
+        p = len(v)
+        assert problem.to_sinks.shape == (2 * p, p)
+        d = problem.to_sinks[:p]
         assert np.abs(d - d.T).max() <= 1e-12
         assert np.all(np.diag(d) == 0.0)
-        k = problem.size
-        for i in range(k):
-            for j in range(k):
+        for i in range(p):
+            for j in range(p):
                 assert d[i, j] <= d[i].max() * 2 + 1e-9  # finite
                 assert np.all(d[i, j] <= d[i] + d[:, j] + 1e-9)
+        _, dense = dense_support(v, v)
+        assert np.abs(problem.to_sinks - dense[:, p:]).max() <= 1e-12
+
+    def test_sinks_are_the_positive_mass_atoms_of_w(self):
+        rng = np.random.default_rng(12)
+        v = random_varifold(rng, 4)
+        w = random_varifold(rng, 5)
+        w = Varifold(1, 2, w.positions, w.frames, [0.3, 0.0, 0.2, 0.0, 0.1])
+        problem = build_support_problem(v, w)
+        _, dense = dense_support(v, w)
+        sinks = len(v) + np.array([0, 2, 4])
+        assert problem.to_sinks.shape == (9, 3)
+        assert np.abs(problem.to_sinks - dense[:, sinks]).max() <= 1e-12
+
+
+def dense_support(v, w):
+    """Signed weights and the (K, K) ground metric of V's atoms followed by
+    W's, built by the tests' own ground metric."""
+    pos = np.concatenate([v.positions, w.positions])
+    prj = np.concatenate([v.projectors(), w.projectors()])
+    return np.concatenate([v.masses, -w.masses]), ground_metric(pos, prj, pos, prj)
 
 
 def dense_support_reference(v, w, tol=1e-12):
@@ -219,11 +241,7 @@ def dense_support_reference(v, w, tol=1e-12):
                 projectors.append(projs[j])
                 weights.append(sign * source.masses[j])
     pos, prj = np.stack(positions), np.stack(projectors)
-    spatial = np.linalg.norm(pos[:, None] - pos[None], axis=2)
-    plane = np.linalg.svd(prj[:, None] - prj[None], compute_uv=False)[..., 0]
-    dist = spatial + plane
-    np.fill_diagonal(dist, 0.0)
-    return pos, np.stack(frames), np.array(weights), dist
+    return pos, np.stack(frames), np.array(weights), ground_metric(pos, prj, pos, prj)
 
 
 def tilted(frame, angle):
@@ -270,12 +288,40 @@ class TestSupportBuildAgainstDenseReference:
         count = len(w_pos)
         w = Varifold(d, n, np.stack(w_pos), np.stack(w_frm), rng.random(count) + 0.1)
 
-        merged = SupportProblem(*dense_support_reference(v, w))
+        _, _, weights, dist = dense_support_reference(v, w)
         # 3 within V, 1 in the chain, 3 shared and the two 0.5e-12 near-duplicates
-        assert merged.size == len(v) + len(w) - 9
+        assert weights.size == len(v) + len(w) - 9
         detail = assert_certified(v, w)
         assert detail["support_size"] == len(v) + len(w)
-        assert detail["distance"] == pytest.approx(dense_dual_lp(merged), abs=1e-10)
+        assert detail["distance"] == pytest.approx(dense_dual_lp(weights, dist), abs=1e-10)
+
+
+def bounded_lipschitz_lower_bound(v, w, phi):
+    """Certified lower bound from an explicit test function.
+
+    ``phi(position, frame)``, with the node's ``(d, n)`` frame, is evaluated
+    on the union support and checked feasible (values in [-1, 1], pairwise
+    Lipschitz with respect to the tests' ground metric); the witness value
+    ``|sum_i w_i phi_i|`` then bounds the distance from below.
+    """
+    problem = build_support_problem(v, w)
+    if problem.size == 0:
+        return 0.0
+    values = np.array([float(phi(x, f)) for x, f in zip(problem.positions, problem.frames)])
+    if np.any(np.abs(values) > 1.0 + 1e-9):
+        raise ValueError("witness is infeasible: values exceed the unit sup bound")
+    pos = problem.positions
+    prj = np.concatenate([v.projectors(), w.projectors()])
+    # pairs i < j, in row blocks of about a million entries
+    k = problem.size
+    rows = max(1, 1_000_000 // k)
+    for lo in range(0, k, rows):
+        block = slice(lo, lo + rows)
+        dist = ground_metric(pos[block], prj[block], pos[lo:], prj[lo:])
+        slack = np.abs(values[block, None] - values[None, lo:]) - dist
+        if float(np.triu(slack, 1).max()) > 1e-9:
+            raise ValueError("witness is infeasible: Lipschitz constraint violated on the support")
+    return float(abs(np.dot(problem.weights, values)))
 
 
 class TestLowerBound:
@@ -379,19 +425,35 @@ class TestDetail:
         assert detail["distance"] == pytest.approx(bounded_lipschitz_distance(v, w), abs=1e-10)
         assert_certified(v, w)
 
+    def test_lopsided_support_stays_small(self):
+        # 2,000 atoms against 10 sinks: memory follows K * q, not K^2
+        # (a (K, K) float64 ground metric alone would be 31 MiB)
+        big = generate(ShapeSpec("circle", samples=2000))
+        small = generate(ShapeSpec("circle", samples=10, radius=0.5))
+        tracemalloc.start()
+        try:
+            detail = bl_distance_detail(big, small)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        lower, upper = detail["bracket"]
+        assert upper - lower <= 1e-9
 
-def dense_dual_lp(problem):
+
+def dense_dual_lp(weights, dist):
     """The distance as one dense LP: maximize w . phi over the box [-1, 1]
-    and all K(K-1)/2 pairs of Lipschitz rows, with no column generation."""
-    k = problem.size
+    and all K(K-1)/2 pairs of Lipschitz rows of the (K, K) ground metric
+    ``dist``, with no column generation."""
+    k = weights.size
     assert 0 < k <= 120
     iu, ju = np.triu_indices(k, 1)
     pair = np.arange(iu.size)
     a_ub = np.zeros((2 * iu.size, k))
     a_ub[2 * pair, iu], a_ub[2 * pair, ju] = 1.0, -1.0
     a_ub[2 * pair + 1, iu], a_ub[2 * pair + 1, ju] = -1.0, 1.0
-    b_ub = np.repeat(problem.distances[iu, ju], 2)
-    res = linprog(-problem.weights, A_ub=a_ub, b_ub=b_ub, bounds=[(-1.0, 1.0)] * k, method="highs")
+    b_ub = np.repeat(dist[iu, ju], 2)
+    res = linprog(-weights, A_ub=a_ub, b_ub=b_ub, bounds=[(-1.0, 1.0)] * k, method="highs")
     assert res.success
     return float(-res.fun)
 
@@ -401,7 +463,7 @@ class TestTransportAgainstDenseReference:
 
     def check(self, v, w):
         detail = assert_certified(v, w)
-        reference = dense_dual_lp(build_support_problem(v, w))
+        reference = dense_dual_lp(*dense_support(v, w))
         assert detail["distance"] == pytest.approx(reference, abs=1e-9)
         return detail
 

@@ -3,7 +3,7 @@
 The velocity field is a double convolution: the kernel smooths the mass
 and the first variation of the varifold into a pointwise field
 
-    raw(y) = - smoothed_first_variation(y) / (smoothed_mass(y) + eps),
+    raw(y) = - (smoothed first variation)(y) / ((smoothed mass)(y) + eps),
 
 which is then convolved once more with the kernel to produce the per-atom
 velocity and its spatial differential.  Both convolutions and the
@@ -24,9 +24,8 @@ cells give the dissipation, so the discrete identity
 ``sum_j m_j tr(P_j Dh_j) = -dissipation`` holds up to rounding.
 
 The inner sums are cut at r (`QuadratureSpec` states the error of the
-cut); the point evaluators (`smoothed_mass`, `smoothed_first_variation`,
-`raw_curvature`) sum over every atom.  All sums run in a fixed order
-whatever the thread count, so results are deterministic.
+cut).  All sums run in a fixed order whatever the thread count, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ from .varifold import SampledMap, Varifold
 __all__ = [
     "QuadratureSpec",
     "CurvatureField",
-    "smoothed_mass",
-    "smoothed_first_variation",
-    "raw_curvature",
     "curvature_field",
     "dissipation",
 ]
@@ -65,11 +61,13 @@ class QuadratureSpec:
         default cut at 5 eps moves the velocities by 4e-5 to 1e-4 relative,
         and the differentials by 3e-4 at eps 0.05, rising to 3e-2 at eps
         0.00625 (circles sampled at spacing eps/4).
-    max_nodes : budget on the cells of the lattice over the bounding box
-        and on the number of (cell, atom) pairs.  It does not bound the
-        kernel values and slopes the field keeps between its two passes:
-        16 bytes per stencil candidate, within r or not (4.7 MB for the
-        100-atom sphere at eps 0.2, 2,945 candidates per atom).
+    max_nodes : budget (>= 1) on the cells of the lattice over the
+        bounding box and on the stencil candidates, the (atom, cell) pairs
+        the field evaluates, within r or not.  Both are checked before any
+        kernel evaluation.  The field keeps a kernel value and slope per
+        candidate between its two passes, so at most ``16 * max_nodes``
+        bytes (4.7 MB for the 100-atom sphere at eps 0.2, 2,945 candidates
+        per atom).
     """
 
     points_per_axis: int = 16
@@ -79,6 +77,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_axis < 4:
             raise ValueError("points_per_axis must be >= 4")
+        if self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if not (math.isfinite(self.domain_radius_factor) and self.domain_radius_factor >= 4.0):
             raise ValueError(
                 f"domain_radius_factor must be finite and >= 4, got {self.domain_radius_factor}"
@@ -103,57 +103,6 @@ class CurvatureField(SampledMap):
     dissipation: float
 
 
-def _pair_convolutions(
-    kernel: Kernel,
-    points: np.ndarray,
-    positions: np.ndarray,
-    frames: np.ndarray,
-    masses: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed mass and first variation of the given atoms at many points.
-
-    Returns ``(mass (P,), variation (P, n))`` with
-    ``variation_p = sum_j m_j P_j grad(x_j - y_p)``.
-    """
-    npts = points.shape[0]
-    n = points.shape[1]
-    if positions.shape[0] == 0 or npts == 0:
-        return np.zeros(npts), np.zeros((npts, n))
-    diffs = positions[None, :, :] - points[:, None, :]
-    r2 = np.einsum("pjn,pjn->pj", diffs, diffs)
-    val, slope = kernel._value_and_grad_scalar(r2)
-    mass = val @ masses
-    grads = slope[:, :, None] * diffs
-    tangential = np.einsum("jdn,pjn->pjd", frames, grads)
-    variation = np.einsum("j,jdn,pjd->pn", masses, frames, tangential)
-    return mass, variation
-
-
-def smoothed_mass(v: Varifold, kernel: Kernel, y: np.ndarray) -> float:
-    """Kernel-smoothed mass at a point: ``sum_j m_j Phi(x_j - y)`` (exact sum)."""
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    mass, _ = _pair_convolutions(kernel, y, v.positions, v.frames, v.masses)
-    return float(mass[0])
-
-
-def smoothed_first_variation(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
-    """Kernel-smoothed first variation at a point (exact sum over atoms)."""
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    _, var = _pair_convolutions(kernel, y, v.positions, v.frames, v.masses)
-    return var[0]
-
-
-def raw_curvature(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
-    """Pointwise regularized curvature before the outer smoothing.
-
-    ``- smoothed_first_variation / (smoothed_mass + eps)``; the eps in the
-    denominator keeps the field bounded everywhere.
-    """
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    mass, var = _pair_convolutions(kernel, y, v.positions, v.frames, v.masses)
-    return -var[0] / (mass[0] + kernel.eps)
-
-
 def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     """The lattice of the sums and every atom's candidate cells on it.
 
@@ -176,8 +125,8 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     lattice wraps into another row or is clipped to the lattice, but such a
     cell is more than ``r + h / 2`` from the atom.
 
-    Raises QuadratureBudgetExceeded when the lattice exceeds
-    ``spec.max_nodes`` cells.
+    Raises QuadratureBudgetExceeded when the lattice's cells or the
+    candidates exceed ``spec.max_nodes``.
     """
     n = v.n
     radius = spec.radius(kernel.eps)
@@ -198,6 +147,11 @@ def _lattice(v: Varifold, kernel: Kernel, spec: QuadratureSpec):
     # a column mask returns Fortran order; C order puts the stencil at unit stride
     grid = np.indices((2 * width + 1,) * n).reshape(n, -1) - width
     offsets = np.ascontiguousarray(grid[:, np.einsum("is,is->s", grid, grid) <= reach * reach])
+    candidates = len(v) * offsets.shape[1]
+    if candidates > spec.max_nodes:
+        raise QuadratureBudgetExceeded(
+            f"{candidates} stencil candidates exceed budget {spec.max_nodes}"
+        )
     strides = np.array([math.prod(counts[i + 1:].tolist()) for i in range(n)], dtype=np.intp)
     steps, shifts, base = h * offsets, strides @ offsets, nearest @ strides
 
@@ -236,17 +190,12 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
     volume = h**n
     projectors = v.projectors()
 
-    # Cell sums over the lattice, each block adding into the span of its
-    # cells; the pair budget is checked before the block's kernel evaluation.
+    # Cell sums over the lattice, each block adding into the span of its cells.
     mass = np.zeros(cells)
     var = np.zeros((n, cells))
     kept = []
-    pairs = 0
     for atoms, diff, ids in blocks():
         r2 = np.einsum("bis,bis->bs", diff, diff)
-        pairs += int(np.count_nonzero(r2 <= radius**2))
-        if pairs > spec.max_nodes:
-            raise QuadratureBudgetExceeded(f"{pairs} pairs exceed budget {spec.max_nodes}")
         val, slope = kernel._value_and_grad_scalar(r2, radius)
         kept.append((val, slope))
         first = int(ids.min())
@@ -277,6 +226,6 @@ def curvature_field(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> Curvat
 def dissipation(v: Varifold, kernel: Kernel, spec: QuadratureSpec) -> float:
     """Mass-decay rate of the regularized flow, as computed by `curvature_field`.
 
-    The lattice sum of ``|smoothed_first_variation|^2 / (smoothed_mass + eps)``; >= 0.
+    The lattice sum of ``|var_c|^2 / (mass_c + eps)`` of `curvature_field`; >= 0.
     """
     return curvature_field(v, kernel, spec).dissipation

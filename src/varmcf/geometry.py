@@ -15,7 +15,6 @@ from .errors import DegeneratePushforward, DimensionMismatch
 
 __all__ = [
     "plane_distances",
-    "principal_angles",
     "align_frames",
     "tangential_jacobian",
 ]
@@ -46,12 +45,6 @@ def plane_distances(frames_s: np.ndarray, frames_t: np.ndarray) -> np.ndarray:
     gram = residual @ np.swapaxes(residual, -1, -2)
     top = gram[..., 0, 0] if gram.shape[-1] == 1 else np.linalg.eigvalsh(gram)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))
-
-
-def principal_angles(frame_s: np.ndarray, frame_t: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, nondecreasing) between the planes of two ``(d, n)`` frames."""
-    sig = np.linalg.svd(frame_s @ frame_t.T, compute_uv=False)
-    return np.arccos(np.clip(sig, 0.0, 1.0))
 
 
 def align_frames(frame_s: np.ndarray, frame_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -71,19 +71,26 @@ def _load_csv(path: Path) -> tuple[list, list, list]:
         except StopIteration:
             raise LoadError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        xcols = [i for i, h in enumerate(header) if re.fullmatch(r"x\d+", h)]
-        tcols = [(i, h) for i, h in enumerate(header) if re.fullmatch(r"t\d\d", h)]
+        xnames = [h for h in header if re.fullmatch(r"x\d+", h)]
+        tnames = [h for h in header if re.fullmatch(r"t\d\d", h)]
         mcol = [i for i, h in enumerate(header) if h == "m"]
-        if not xcols:
+        if not xnames:
             raise LoadError(f"{path}: header defines no coordinate columns x1..xn")
-        n = len(xcols)
-        d = max(int(h[1]) for _, h in tcols) if tcols else 0
-        if tcols and len(tcols) != d * n:
-            raise LoadError(
-                f"{path}: expected {d * n} frame columns t11..t{d}{n}, found {len(tcols)}"
-            )
+        n = len(xnames)
+        d = max(1, *(int(h[1]) for h in tnames)) if tnames else 0
         if d > n:
             raise LoadError(f"{path}: frame columns give {d} rows, more than the {n} coordinates")
+        # each column is placed by its name, whatever the header order
+        coords = [f"x{b}" for b in range(1, n + 1)]
+        entries = [f"t{a}{b}" for a in range(1, d + 1) for b in range(1, n + 1)]
+        for names, expected, what in ((xnames, coords, "coordinate"), (tnames, entries, "frame")):
+            if sorted(names) != sorted(expected):
+                raise LoadError(
+                    f"{path}: {what} columns must be {expected[0]}..{expected[-1]}, each once; "
+                    f"header is {','.join(header)}"
+                )
+        xcols = [header.index(name) for name in coords]
+        tcols = [header.index(name) for name in entries]
         points, frames, masses = [], [], []
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -91,9 +98,7 @@ def _load_csv(path: Path) -> tuple[list, list, list]:
             try:
                 points.append([float(row[i]) for i in xcols])
                 if tcols:
-                    frame = np.zeros((d, n))
-                    for i, h in tcols:
-                        frame[int(h[1]) - 1, int(h[2]) - 1] = float(row[i])
+                    frame = np.array([float(row[i]) for i in tcols]).reshape(d, n)
                     frames.append(_reorthonormalize(frame, f"{path}: row {rownum}"))
                 if mcol:
                     masses.append(float(row[mcol[0]]))

@@ -10,6 +10,7 @@ order, which keeps results deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,8 +187,8 @@ def push_forward(
     sup over R^n can be computed from its quadrature lattice, but this
     code does not compute it.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     _check_samples(v, len(f), "push_forward")
     if tau == 0.0 or len(v) == 0:
         return v

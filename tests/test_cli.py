@@ -70,7 +70,7 @@ class TestEvolve:
         assert "step" in err
 
     def test_field_error_exits_2_with_partial_outputs(self, tmp_path, capsys):
-        # the 2,304-cell lattice fits max_nodes, the 4,868 pairs within r do not
+        # the 2,304-cell lattice fits max_nodes, the 5,784 stencil candidates do not
         flow = {"eps": 0.1, "horizon": 0.004, "steps": 4, "quadrature": {"max_nodes": 3000}}
         path, config = run_config(tmp_path, flow=flow)
         assert main(["evolve", str(path)]) == 2
@@ -128,6 +128,10 @@ class TestEvolve:
                 {"flow": {"eps": 0.1, "steps": 4, "step_mode": "strict", "strict_constant": 0}},
                 "strict_constant must be finite and positive, got 0.0",
             ),
+            (
+                {"flow": {"eps": 0.1, "horizon": 0.004, "steps": 4, "quadrature": {"max_nodes": 0}}},
+                "max_nodes must be >= 1, got 0",
+            ),
         ],
         ids=[
             "seed",
@@ -139,6 +143,7 @@ class TestEvolve:
             "horizon-with-times",
             "input-format",
             "strict-constant-zero",
+            "max-nodes-zero",
         ],
     )
     def test_malformed_config_exits_1_naming_the_key(self, tmp_path, capsys, overrides, message):

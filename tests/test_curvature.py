@@ -6,9 +6,6 @@ from varmcf.curvature import (
     _lattice,
     curvature_field,
     dissipation,
-    raw_curvature,
-    smoothed_first_variation,
-    smoothed_mass,
 )
 from varmcf.errors import QuadratureBudgetExceeded
 from varmcf.ingest import ShapeSpec, generate
@@ -200,6 +197,9 @@ class TestQuadratureSpec:
         for factor in (1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="domain_radius_factor"):
                 QuadratureSpec(domain_radius_factor=factor)
+        for nodes in (0, -1):
+            with pytest.raises(ValueError, match=f"max_nodes must be >= 1, got {nodes}"):
+                QuadratureSpec(max_nodes=nodes)
 
     def test_lattice_weights_integrate_the_kernel(self):
         # the cells weighted for a single atom integrate the kernel; at
@@ -221,15 +221,84 @@ class TestQuadratureSpec:
         spec = QuadratureSpec(points_per_axis=64, max_nodes=1000)
         with pytest.raises(QuadratureBudgetExceeded):
             curvature_field(circle(20), Kernel.create(2, 0.2), spec)
-        # two close atoms: the 9 x 8 lattice fits, their 96 pairs do not
+        # two close atoms: the 9 x 8 lattice fits, their 138 stencil candidates do not
         pair = Varifold(1, 2, [[0.0, 0.0], [0.01, 0.0]], [[[1.0, 0.0]]] * 2, [1.0, 1.0])
         spec = QuadratureSpec(points_per_axis=8, max_nodes=80)
-        with pytest.raises(QuadratureBudgetExceeded, match="pairs"):
+        with pytest.raises(QuadratureBudgetExceeded, match="138 stencil candidates exceed budget 80"):
             curvature_field(pair, Kernel.create(2, 0.2), spec)
+
+    def test_candidate_budget_is_checked_before_any_kernel_call(self, monkeypatch):
+        # 100 atoms in R^3 at 16 points per axis: 2,945 candidates each
+        v = generate(ShapeSpec("sphere", samples=100))
+        kernel = Kernel.create(3, 0.2)
+        curvature_field(v, kernel, QuadratureSpec(max_nodes=294_500))
+        evaluated = []
+        evaluate = Kernel._value_and_grad_scalar
+
+        def counting(self, r2, *args):
+            evaluated.append(np.size(r2))
+            return evaluate(self, r2, *args)
+
+        monkeypatch.setattr(Kernel, "_value_and_grad_scalar", counting)
+        spec = QuadratureSpec(max_nodes=294_499)
+        with pytest.raises(QuadratureBudgetExceeded, match="294500 stencil candidates exceed"):
+            curvature_field(v, kernel, spec)
+        assert evaluated == []
 
     def test_refined_doubles_points(self):
         spec = QuadratureSpec()
         assert spec.refined().points_per_axis == 2 * spec.points_per_axis
+
+
+def _pair_convolutions(
+    kernel: Kernel,
+    points: np.ndarray,
+    positions: np.ndarray,
+    frames: np.ndarray,
+    masses: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed mass and first variation of the given atoms at many points.
+
+    Returns ``(mass (P,), variation (P, n))`` with
+    ``variation_p = sum_j m_j P_j grad(x_j - y_p)``.
+    """
+    npts = points.shape[0]
+    n = points.shape[1]
+    if positions.shape[0] == 0 or npts == 0:
+        return np.zeros(npts), np.zeros((npts, n))
+    diffs = positions[None, :, :] - points[:, None, :]
+    r2 = np.einsum("pjn,pjn->pj", diffs, diffs)
+    val, slope = kernel._value_and_grad_scalar(r2)
+    mass = val @ masses
+    grads = slope[:, :, None] * diffs
+    tangential = np.einsum("jdn,pjn->pjd", frames, grads)
+    variation = np.einsum("j,jdn,pjd->pn", masses, frames, tangential)
+    return mass, variation
+
+
+def smoothed_mass(v: Varifold, kernel: Kernel, y: np.ndarray) -> float:
+    """Kernel-smoothed mass at a point: ``sum_j m_j Phi(x_j - y)`` (exact sum)."""
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    mass, _ = _pair_convolutions(kernel, y, v.positions, v.frames, v.masses)
+    return float(mass[0])
+
+
+def smoothed_first_variation(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
+    """Kernel-smoothed first variation at a point (exact sum over atoms)."""
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    _, var = _pair_convolutions(kernel, y, v.positions, v.frames, v.masses)
+    return var[0]
+
+
+def raw_curvature(v: Varifold, kernel: Kernel, y: np.ndarray) -> np.ndarray:
+    """Pointwise regularized curvature before the outer smoothing.
+
+    ``- smoothed_first_variation / (smoothed_mass + eps)``; the eps in the
+    denominator keeps the field bounded everywhere.
+    """
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    mass, var = _pair_convolutions(kernel, y, v.positions, v.frames, v.masses)
+    return -var[0] / (mass[0] + kernel.eps)
 
 
 class TestSmoothedMass:

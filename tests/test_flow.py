@@ -177,14 +177,14 @@ class TestEvolve:
         assert len(traj.snapshots) == 2
 
     def test_field_error_ends_the_run_with_a_failure_record(self):
-        # the 576-cell lattice fits max_nodes, the 2,520 pairs within r do not
+        # the 576-cell lattice fits max_nodes, the 3,450 stencil candidates do not
         spec = QuadratureSpec(points_per_axis=8, max_nodes=1000)
         config = FlowConfig(eps=0.1, subdivision=Subdivision.uniform(4, 0.004), quadrature=spec)
         traj = evolve(circle(50), config)
         assert traj.failure is not None
         assert (traj.failure.step, traj.failure.time) == (0, 0.0)
         assert traj.failure.reason.startswith("QuadratureBudgetExceeded: ")
-        assert "pairs exceed budget 1000" in traj.failure.reason
+        assert "3450 stencil candidates exceed budget 1000" in traj.failure.reason
         assert len(traj.snapshots) == 1 and traj.diagnostics == []
 
     def test_strict_gate_rejects_coarse_subdivisions(self):

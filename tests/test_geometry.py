@@ -7,7 +7,6 @@ from varmcf.geometry import (
     FRAME_ORTHO_TOL,
     align_frames,
     plane_distances,
-    principal_angles,
     tangential_jacobian,
 )
 from varmcf.varifold import Varifold
@@ -21,6 +20,12 @@ def line2(angle):
 
 def projector(frame):
     return frame.T @ frame
+
+
+def principal_angles(frame_s: np.ndarray, frame_t: np.ndarray) -> np.ndarray:
+    """Principal angles (radians, nondecreasing) between the planes of two ``(d, n)`` frames."""
+    sig = np.linalg.svd(frame_s @ frame_t.T, compute_uv=False)
+    return np.arccos(np.clip(sig, 0.0, 1.0))
 
 
 class TestPlane:

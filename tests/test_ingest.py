@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from varmcf.cli import main
 from varmcf.errors import LoadError
 from varmcf.geometry import plane_distances
 from varmcf.ingest import ShapeSpec, estimate_tangent_planes, generate, load, save_varifold_json
@@ -31,6 +32,30 @@ class TestLoad:
         path.write_text("x1,x2,t11,t12,m\n0.0,0.0,1.0,0.0,1.0\n1.0,0.0,0.0,1.0,1.0\n")
         v = load(path)
         assert v.frames.shape == (2, 1, 2)
+
+    def test_csv_columns_are_placed_by_name(self, tmp_path):
+        path = tmp_path / "swapped.csv"
+        path.write_text("x2,x1,t11,t12\n0.0,1.0,1.0,0.0\n")
+        v = load(path)
+        assert np.array_equal(v.positions, [[1.0, 0.0]])
+        assert np.array_equal(v.frames, [[[1.0, 0.0]]])
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("x1,x3,t11,t12", "coordinate columns must be x1..x2, each once; header is x1,x3,t11,t12"),
+            ("x1,x1,t11,t12", "coordinate columns must be x1..x2, each once; header is x1,x1,t11,t12"),
+            ("x1,x2,t11,t11", "frame columns must be t11..t12, each once; header is x1,x2,t11,t11"),
+        ],
+        ids=["x-gap", "x-twice", "t-twice"],
+    )
+    def test_misnamed_csv_columns_exit_1_through_distance(self, tmp_path, capsys, header, message):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(header + "\n0.0,1.0,1.0,0.0\n")
+        good.write_text("x1,x2,t11,t12\n0.0,1.0,1.0,0.0\n")
+        assert main(["distance", str(bad), str(good)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err and "Traceback" not in err
 
     def test_malformed_row_names_the_row(self, tmp_path):
         path = tmp_path / "bad.csv"

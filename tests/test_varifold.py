@@ -163,6 +163,14 @@ class TestPushForward:
             push_forward(v, f, 0.5)
         assert err.value.certificate == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("scale", [0.0, 3.0], ids=["still", "moving"])
+    def test_rejects_negative_or_non_finite_tau(self, recwarn, tau, scale):
+        f = SampledMap(np.zeros((1, 2)), scale * np.eye(2)[None])
+        with pytest.raises(ValueError, match=f"tau must be finite and nonnegative, got {tau}"):
+            push_forward(single_atom(), f, tau)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_degenerate_map(self):
         v = single_atom(angle=0.0)
         crush = np.array([[-1.0, 0.0], [0.0, 0.0]])  # I + 1.0 * crush kills e1
